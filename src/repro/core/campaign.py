@@ -47,8 +47,10 @@ from repro.core.samples import SampleSet
 #: versions are then never served.
 CALIBRATION_VERSION = 1
 
-#: On-disk layout version of the cache files themselves.
-CACHE_SCHEMA = "repro.campaign_cache/1"
+#: On-disk layout version of the cache files themselves.  ``/2`` files
+#: carry ``repro.sample_set/2`` text; a ``/1`` file (per-sample v1 text)
+#: is a clean miss and gets rewritten, never served.
+CACHE_SCHEMA = "repro.campaign_cache/2"
 
 
 # ----------------------------------------------------------------------
@@ -105,7 +107,9 @@ def cache_key(config: ExperimentConfig) -> str:
 class CampaignCache:
     """Content-addressed store of finished campaign cells.
 
-    One JSON file per cell, named by :func:`cache_key`.  Files carry the
+    One JSON file per cell, named by :func:`cache_key`: the
+    :data:`CACHE_SCHEMA` tag, the config fingerprint and the cell's
+    :func:`~repro.core.export.sample_set_to_json` text.  Files carry the
     full fingerprint, which is re-verified on load so a (cosmically
     unlikely) hash collision or a hand-edited file can never serve wrong
     data.  Writes are atomic (temp file + rename) so a parallel campaign
@@ -192,7 +196,7 @@ class CampaignCache:
             return None
         try:
             sample_set = sample_set_from_json(serialized)
-        except (ValueError, KeyError, TypeError):
+        except ValueError:
             self._quarantine(self._path(cache_key(config)))
             self.misses += 1
             return None

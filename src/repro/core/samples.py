@@ -25,14 +25,10 @@ of a dataclass plus boxed ints.  The per-kind latency series are computed
 straight off the columns, and one sorted copy per ``(kind, priority,
 origin)`` is cached for every order-statistics consumer
 (:class:`~repro.core.stats.DistributionSummary`, ``percentile``,
-``exceedance_fraction``, the worst-case estimator).
-
-API compatibility: ``sample_set.samples`` still yields the familiar
-``List[RawSample]``.  Accessing it materialises the list once and switches
-the set to list-backed mode (mutations through those objects stay visible,
-exactly as before the columnar rewrite); code that never touches
-``.samples`` -- the whole figure/report pipeline -- stays on the fast
-columnar path.
+``exceedance_fraction``, the worst-case estimator).  Per-row
+:class:`RawSample` objects are built only on demand, by
+:meth:`SampleSet.iter_samples`; they are fresh views, so mutating one
+leaves the set unchanged.
 """
 
 from __future__ import annotations
@@ -171,7 +167,7 @@ class SampleColumns:
     One signed 64-bit array per :class:`RawSample` field; optional
     timestamps use ``-1`` for "not recorded" (all real values are
     non-negative cycle counts).  This is the recorder the latency tool
-    streams into on its hot path and the storage behind a columnar
+    streams into on its hot path and the storage behind every
     :class:`SampleSet`.
     """
 
@@ -291,11 +287,7 @@ class SampleSet:
         os_name: Which OS personality produced the data.
         workload: Name of the stress load.
         duration_s: Simulated wall time of the collection.
-
-    Two storage modes (see module docstring): columnar (the default; fast
-    aggregate paths plus cached sorted series) and list-backed, entered the
-    first time :attr:`samples` is accessed so legacy callers can mutate
-    individual :class:`RawSample` objects in place.
+        columns: The :class:`SampleColumns` holding every sample.
     """
 
     def __init__(
@@ -304,91 +296,33 @@ class SampleSet:
         os_name: str,
         workload: str,
         duration_s: float,
-        samples: Optional[List[RawSample]] = None,
         columns: Optional[SampleColumns] = None,
     ):
-        if samples is not None and columns is not None:
-            raise ValueError("pass either samples or columns, not both")
         self.clock = clock
         self.os_name = os_name
         self.workload = workload
         self.duration_s = duration_s
-        # List-backed mode keeps the caller's list (aliasing semantics of
-        # the pre-columnar SampleSet); columnar mode owns the columns.
-        self._legacy: Optional[List[RawSample]] = samples
-        self._columns: Optional[SampleColumns] = (
-            None if samples is not None else (columns if columns is not None else SampleColumns())
-        )
-        # sorted latency series keyed by (kind, priority, origin); only
-        # maintained in columnar mode, where appends are the sole mutation.
+        self.columns = columns if columns is not None else SampleColumns()
+        # sorted latency series keyed by (kind, priority, origin); appends
+        # are the only mutation and clear it.
         self._sorted_cache: Dict[Tuple[LatencyKind, Optional[int], str], List[float]] = {}
-
-    # ------------------------------------------------------------------
-    # Storage modes
-    # ------------------------------------------------------------------
-    @property
-    def samples(self) -> List[RawSample]:
-        """The raw samples as a mutable list (legacy API).
-
-        First access materialises the columns into :class:`RawSample`
-        objects and switches this set to list-backed mode permanently, so
-        in-place mutations through the returned objects are honoured by
-        every later computation -- at the cost of the columnar fast paths
-        and sorted-series caching.
-        """
-        if self._legacy is None:
-            columns = self._columns
-            assert columns is not None
-            self._legacy = [columns.view(i) for i in range(len(columns))]
-            self._columns = None
-            self._sorted_cache.clear()
-        return self._legacy
-
-    @property
-    def is_columnar(self) -> bool:
-        """True while still on the columnar fast path."""
-        return self._legacy is None
-
-    @property
-    def columns(self) -> Optional[SampleColumns]:
-        """The live columns (``None`` once list-backed)."""
-        return self._columns
-
-    def _as_columns(self) -> SampleColumns:
-        """A column snapshot of the current contents (mode unchanged)."""
-        if self._legacy is None:
-            assert self._columns is not None
-            return self._columns.copy()
-        columns = SampleColumns()
-        for sample in self._legacy:
-            columns.append(sample)
-        return columns
 
     # ------------------------------------------------------------------
     # Building
     # ------------------------------------------------------------------
     def add(self, sample: RawSample) -> None:
-        if self._legacy is not None:
-            self._legacy.append(sample)
-            return
-        self._columns.append(sample)
+        self.columns.append(sample)
         if self._sorted_cache:
             self._sorted_cache.clear()
 
     def __len__(self) -> int:
-        if self._legacy is not None:
-            return len(self._legacy)
-        return len(self._columns)
+        return len(self.columns)
 
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
     def iter_samples(self, priority: Optional[int] = None) -> Iterable[RawSample]:
-        if self._legacy is not None:
-            if priority is None:
-                return iter(self._legacy)
-            return (s for s in self._legacy if s.priority == priority)
-        columns = self._columns
+        columns = self.columns
         if priority is None:
             return iter(columns)
         return (
@@ -398,9 +332,7 @@ class SampleSet:
         )
 
     def priorities(self) -> Sequence[int]:
-        if self._legacy is not None:
-            return sorted({s.priority for s in self._legacy})
-        return sorted(set(self._columns.priority))
+        return sorted(set(self.columns.priority))
 
     # ------------------------------------------------------------------
     # Latency series
@@ -423,13 +355,6 @@ class SampleSet:
                 :meth:`RawSample.origin`).
         """
         to_ms = self.clock.cycles_to_ms
-        if self._legacy is not None:
-            out: List[float] = []
-            for sample in self.iter_samples(priority):
-                cycles = sample.latency_cycles(kind, origin=origin)
-                if cycles is not None:
-                    out.append(to_ms(cycles))
-            return out
         return [to_ms(c) for c in self._latency_cycles(kind, priority, origin)]
 
     def _latency_cycles(
@@ -443,7 +368,7 @@ class SampleSet:
         """
         if origin not in _ORIGIN_MODES:
             raise ValueError(f"unknown origin mode {origin!r}")
-        columns = self._columns
+        columns = self.columns
         pri = columns.priority
         t_read = columns.t_read
         delay = columns.delay_cycles
@@ -547,16 +472,12 @@ class SampleSet:
     ) -> List[float]:
         """Ascending latency series of ``kind`` (milliseconds).
 
-        In columnar mode the sorted copy is computed once per ``(kind,
-        priority, origin)`` and reused by every order-statistics consumer
-        (percentiles, exceedance fractions, tail fits, histograms);
-        appending new samples invalidates the cache.  Callers must treat
-        the returned list as immutable.  In list-backed mode (after
-        ``.samples`` has been handed out) nothing is cached, because
-        samples can then be mutated in place.
+        The sorted copy is computed once per ``(kind, priority, origin)``
+        and reused by every order-statistics consumer (percentiles,
+        exceedance fractions, tail fits, histograms); appending new
+        samples invalidates the cache.  Callers must treat the returned
+        list as immutable.
         """
-        if self._legacy is not None:
-            return sorted(self.latencies_ms(kind, priority=priority, origin=origin))
         key = (kind, priority, origin)
         cached = self._sorted_cache.get(key)
         if cached is None:
@@ -601,24 +522,18 @@ class SampleSet:
         """Measurement cycles per second for the selected series."""
         if self.duration_s <= 0:
             return 0.0
-        if self._legacy is not None:
-            count = sum(1 for _ in self.iter_samples(priority))
-        elif priority is None:
-            count = len(self._columns)
+        if priority is None:
+            count = len(self.columns)
         else:
-            count = sum(1 for p in self._columns.priority if p == priority)
+            count = sum(1 for p in self.columns.priority if p == priority)
         return count / self.duration_s
 
     def merged_with(self, other: "SampleSet") -> "SampleSet":
         """Concatenate two runs of the same configuration."""
         if (self.os_name, self.workload) != (other.os_name, other.workload):
             raise ValueError("cannot merge sample sets from different configurations")
-        columns = self._as_columns()
-        if other._legacy is None:
-            columns.extend(other._columns)
-        else:
-            for sample in other._legacy:
-                columns.append(sample)
+        columns = self.columns.copy()
+        columns.extend(other.columns)
         return SampleSet(
             self.clock,
             self.os_name,
@@ -636,17 +551,11 @@ class SampleSet:
             "os_name": self.os_name,
             "workload": self.workload,
             "duration_s": self.duration_s,
-            "columns": self._as_columns(),
+            "columns": self.columns,
         }
 
     def __setstate__(self, state) -> None:
-        self.clock = state["clock"]
-        self.os_name = state["os_name"]
-        self.workload = state["workload"]
-        self.duration_s = state["duration_s"]
-        self._legacy = None
-        self._columns = state["columns"]
-        self._sorted_cache = {}
+        self.__init__(**state)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

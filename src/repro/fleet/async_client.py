@@ -84,6 +84,7 @@ class AsyncServiceClient:
         """One request/response on a pooled connection."""
         if self._closed:
             raise ServiceUnavailable("client is closed")
+        outgoing = encode_message(payload)
         await self._slots.acquire()
         conn = self._idle.pop() if self._idle else None
         try:
@@ -91,7 +92,7 @@ class AsyncServiceClient:
                 conn = await self._open()
             reader, writer = conn
             try:
-                writer.write(encode_message(payload))
+                writer.write(outgoing)
                 await writer.drain()
                 line = await reader.readline()
             except (ConnectionError, OSError) as exc:
@@ -100,6 +101,9 @@ class AsyncServiceClient:
                 raise ServiceUnavailable(
                     f"service connection lost: {exc}"
                 ) from exc
+            except ValueError:  # StreamReader: the line is over its limit
+                raise ServiceError("too-large", f"a response line exceeded the "
+                                   f"{MAX_LINE_BYTES}-byte line cap") from None
             if not line:
                 await self._discard(conn)
                 conn = None

@@ -36,16 +36,17 @@ from __future__ import annotations
 import asyncio
 import json
 import random
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.campaign import cache_key
+from repro.service.loop_thread import LoopThread
 from repro.service.metrics import ROUTER_COUNTERS, ROUTER_STAGES, ServiceMetrics
 from repro.service.protocol import (
     MAX_LINE_BYTES,
+    MessageTooLarge,
     ProtocolError,
     config_from_wire,
     decode_message,
@@ -250,7 +251,10 @@ class FleetRouter:
     # ------------------------------------------------------------------
     async def _probe_loop(self) -> None:
         interval = self.config.heartbeat_interval_s
-        while True:
+        # Drain cancels this task, but before Python 3.12 a wait_for() whose
+        # probe reply lands with the cancel swallows it; the flag ends the
+        # loop regardless.
+        while not self._draining:
             await asyncio.sleep(interval)
             for worker in self.registry.workers():
                 try:
@@ -280,9 +284,20 @@ class FleetRouter:
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
-    async def _send(self, writer: asyncio.StreamWriter, payload: dict) -> None:
-        writer.write(encode_message(payload))
+    async def _send(self, writer: asyncio.StreamWriter, payload: dict) -> bool:
+        """Write one message; ``False`` if it would not fit in one line and
+        a ``too-large`` error went out in its place (a store-served cell
+        can be over the cap)."""
+        try:
+            line, fits = encode_message(payload), True
+        except MessageTooLarge as exc:
+            self.metrics.count("too_large")
+            line, fits = encode_message(
+                error_response(payload.get("id"), "too-large", f"result refused: {exc}")
+            ), False
+        writer.write(line)
         await writer.drain()
+        return fits
 
     async def _handle_conn(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -433,12 +448,12 @@ class FleetRouter:
         cached = self.store.get(config, key=key)
         if cached is not None:
             self.metrics.count("cache_hits")
-            self.metrics.count("served")
             self.metrics.observe("route", time.monotonic() - t0)
             self.metrics.observe("serve", time.monotonic() - t0)
-            await self._send(writer, ok_response(
+            if await self._send(writer, ok_response(
                 req_id, status="done", key=key, cached=True, sample_set=cached
-            ))
+            )):
+                self.metrics.count("served")
             return
         self.metrics.observe("route", time.monotonic() - t0)
         response = await self._forward_submit(msg, key, req_id)
@@ -452,15 +467,16 @@ class FleetRouter:
             response["id"] = req_id
         else:
             response.pop("id", None)
-        if response.get("ok") and response.get("status") == "done":
+        done = response.get("ok") and response.get("status") == "done"
+        if done:
             serialized = response.get("sample_set")
             if isinstance(serialized, str):
                 # Warm the router's hot LRU (and the shared store, when
                 # the worker wrote to a different directory).
                 self.store.put(config, serialized, key=key)
-            self.metrics.count("served")
             self.metrics.observe("serve", time.monotonic() - t0)
-        await self._send(writer, response)
+        if await self._send(writer, response) and done:
+            self.metrics.count("served")
 
     async def _forward_submit(self, msg, key: str, req_id) -> dict:
         """Forward one submit along the key's failover chain.
@@ -596,7 +612,7 @@ class FleetRouter:
 # ----------------------------------------------------------------------
 # Thread harness
 # ----------------------------------------------------------------------
-class RouterThread:
+class RouterThread(LoopThread):
     """Run a :class:`FleetRouter` on a background thread.
 
     The fleet-tier analogue of
@@ -608,52 +624,8 @@ class RouterThread:
         if config is not None and overrides:
             raise ValueError("pass either a RouterConfig or keyword overrides")
         self.config = config or RouterConfig(**overrides)
-        self.router: Optional[FleetRouter] = None
-        self.port: Optional[int] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._error: Optional[BaseException] = None
+        super().__init__(lambda: FleetRouter(self.config), "repro-router")
 
-    def start(self) -> "RouterThread":
-        self._thread = threading.Thread(
-            target=lambda: asyncio.run(self._main()), daemon=True,
-            name="repro-router",
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=60):
-            raise RuntimeError("router thread failed to start within 60s")
-        if self._error is not None:
-            raise RuntimeError(f"router failed to start: {self._error}")
-        return self
-
-    async def _main(self) -> None:
-        self.router = FleetRouter(self.config)
-        try:
-            await self.router.start()
-        except BaseException as exc:  # surfaced to start() in the caller
-            self._error = exc
-            self._ready.set()
-            return
-        self._loop = asyncio.get_running_loop()
-        self.port = self.router.port
-        self._ready.set()
-        await self.router.wait_closed()
-
-    def stop(self, timeout: float = 120.0) -> None:
-        if self._thread is None or not self._thread.is_alive():
-            return
-        try:
-            future = asyncio.run_coroutine_threadsafe(
-                self.router.shutdown(), self._loop
-            )
-            future.result(timeout=timeout)
-        except (RuntimeError, asyncio.CancelledError):
-            pass  # loop already closing via a client-side shutdown verb
-        self._thread.join(timeout=timeout)
-
-    def __enter__(self) -> "RouterThread":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+    @property
+    def router(self) -> Optional[FleetRouter]:
+        return self.served

@@ -79,10 +79,11 @@ class ServiceClient:
     # Wire plumbing
     # ------------------------------------------------------------------
     def _roundtrip(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        line = encode_message(payload)
         try:
-            self._file.write(encode_message(payload))
+            self._file.write(line)
             self._file.flush()
-        except (ConnectionError, BrokenPipeError, OSError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: closed by _read_message
             raise ServiceUnavailable(f"service connection lost: {exc}") from exc
         return self._read_message()
 
@@ -93,6 +94,13 @@ class ServiceClient:
             raise ServiceUnavailable(f"service connection lost: {exc}") from exc
         if not line:
             raise ServiceUnavailable("server closed the connection")
+        if not line.endswith(b"\n"):
+            # The rest of the line is still in the socket: drop the connection.
+            self.close()
+            if len(line) >= MAX_LINE_BYTES:
+                raise ServiceError("too-large", f"a response line reached the "
+                                   f"{MAX_LINE_BYTES}-byte line cap")
+            raise ServiceUnavailable("server closed the connection mid-message")
         return json.loads(line)
 
     @staticmethod
@@ -122,7 +130,7 @@ class ServiceClient:
     ):
         """Run one cell and return its :class:`SampleSet` (blocking).
 
-        ``as_text=True`` returns the raw serialized JSON instead -- the
+        ``as_text=True`` returns the raw ``repro.sample_set/2`` text -- the
         byte-exact payload the determinism tests compare.  ``lane``
         selects a router admission lane (``interactive``/``batch``);
         workers ignore it.

@@ -35,6 +35,7 @@ COUNTERS = (
     "cancelled",          # queued jobs cancelled before dispatch
     "deadline_expired",   # waits that hit their per-request deadline
     "failed",             # jobs whose simulation raised
+    "too_large",          # results refused: over the protocol's line cap
     "heartbeats",         # heartbeat probes answered
     # Engine execution counters aggregated across simulated (non-cached)
     # runs -- virtual-time fast-forward and compiled-tape observability
@@ -60,6 +61,7 @@ ROUTER_COUNTERS = (
     "shed_lane",          # load shedding: priority lane at capacity
     "rejected_shutdown",  # submit during router drain
     "unavailable",        # submits with no live worker after retries
+    "too_large",          # results refused: over the protocol's line cap
     "workers_marked_down",  # health transitions up -> down
     "workers_marked_up",    # health transitions down -> up
     "registrations",      # register verb accepted (new or re-register)

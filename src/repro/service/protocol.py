@@ -43,6 +43,16 @@ Route-tier verbs (the fleet layer, :mod:`repro.fleet`):
 Error responses may carry a ``retry_after_s`` hint (load shedding, no
 live worker) telling a well-behaved client when to try again instead of
 hammering a saturated tier.
+
+A result's ``sample_set`` field is one ``repro.sample_set/2`` document
+(:mod:`repro.core.export`) as a JSON string.  No message line may exceed
+:data:`MAX_LINE_BYTES`: :func:`encode_message` raises
+:class:`MessageTooLarge` instead of producing one, and a worker or router
+whose result would not fit answers ``too-large`` (naming the size and the
+cap) and counts it under ``too_large``.  The client fails the same way,
+with a ``too-large`` :class:`~repro.service.client.ServiceError`, if a
+line from a peer with a larger cap reaches its own cap.  Retrying cannot
+help: the same cell encodes to the same size.
 """
 
 from __future__ import annotations
@@ -67,9 +77,10 @@ from repro.sim.rng import DurationDistribution
 #: Bump on any incompatible message-shape change.
 PROTOCOL_VERSION = 1
 
-#: Upper bound on one NDJSON line.  A 30-simulated-second cell serialises
-#: to ~3 MB of sample JSON; 64 MB leaves generous headroom for long cells
-#: while still bounding a misbehaving peer.
+#: Upper bound on one NDJSON line.  A sample set costs about 21 bytes per
+#: sample on the wire (nt4/office: ~9.4 KB per simulated second), so 64 MB
+#: holds cells of about two simulated hours while still bounding a
+#: misbehaving peer.
 MAX_LINE_BYTES = 64 * 1024 * 1024
 
 #: The verbs a server must implement.
@@ -91,11 +102,16 @@ ERROR_CODES = (
     "not-cancellable",
     "failed",
     "unavailable",  # no live worker could serve the key (router tier)
+    "too-large",  # the result does not fit in one MAX_LINE_BYTES line
 )
 
 
 class ProtocolError(ValueError):
     """A message that cannot be parsed or fails schema validation."""
+
+
+class MessageTooLarge(ProtocolError):
+    """A message whose encoded line would exceed :data:`MAX_LINE_BYTES`."""
 
 
 # ----------------------------------------------------------------------
@@ -173,9 +189,18 @@ def config_from_wire(payload: Dict[str, Any]) -> ExperimentConfig:
 # Message framing
 # ----------------------------------------------------------------------
 def encode_message(payload: Dict[str, Any]) -> bytes:
-    """One NDJSON line, versioned and ready for the socket."""
+    """One NDJSON line, versioned and ready for the socket.
+
+    Raises :class:`MessageTooLarge` if the line would exceed
+    :data:`MAX_LINE_BYTES`, which no peer would read.
+    """
     payload.setdefault("v", PROTOCOL_VERSION)
-    return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
+    line = (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
+    if len(line) > MAX_LINE_BYTES:
+        raise MessageTooLarge(
+            f"a {len(line)}-byte message exceeds the {MAX_LINE_BYTES}-byte line cap"
+        )
+    return line
 
 
 def decode_message(line: bytes) -> Dict[str, Any]:

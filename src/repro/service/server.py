@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import threading
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -41,9 +40,11 @@ from typing import Deque, Dict, List, Optional, Union
 from repro.core.campaign import cache_key
 from repro.core.experiment import ExperimentConfig, run_latency_experiment
 from repro.core.export import sample_set_to_json
+from repro.service.loop_thread import LoopThread
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
     MAX_LINE_BYTES,
+    MessageTooLarge,
     ProtocolError,
     config_from_wire,
     decode_message,
@@ -64,7 +65,7 @@ OVERLOADED_RETRY_AFTER_S = 0.5
 
 
 def _run_cell_serialized(config: ExperimentConfig) -> tuple:
-    """Worker-side body: one cell as canonical JSON text, plus counters.
+    """Worker-side body: one cell as ``repro.sample_set/2`` text, plus counters.
 
     Returning the serialized form (rather than the SampleSet) means the
     bytes a client receives are produced exactly once, in the worker, by
@@ -375,9 +376,19 @@ class ExperimentService:
     # ------------------------------------------------------------------
     # Connections
     # ------------------------------------------------------------------
-    async def _send(self, writer: asyncio.StreamWriter, payload: dict) -> None:
-        writer.write(encode_message(payload))
+    async def _send(self, writer: asyncio.StreamWriter, payload: dict) -> bool:
+        """Write one message; ``False`` if it would not fit in one line and
+        a ``too-large`` error went out in its place."""
+        try:
+            line, fits = encode_message(payload), True
+        except MessageTooLarge as exc:
+            self.metrics.count("too_large")
+            line, fits = encode_message(
+                error_response(payload.get("id"), "too-large", f"result refused: {exc}")
+            ), False
+        writer.write(line)
         await writer.drain()
+        return fits
 
     async def _handle_conn(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -464,14 +475,11 @@ class ExperimentService:
         cached = self.store.get(config, key=key)
         if cached is not None:
             self.metrics.count("cache_hits")
-            self.metrics.count("served")
             self.metrics.observe("serve", time.monotonic() - t0)
-            await self._send(
-                writer,
-                ok_response(
-                    req_id, status="done", key=key, cached=True, sample_set=cached
-                ),
-            )
+            if await self._send(writer, ok_response(
+                req_id, status="done", key=key, cached=True, sample_set=cached
+            )):
+                self.metrics.count("served")
             return
         job = self._by_key.get(key)
         if job is not None:
@@ -506,7 +514,13 @@ class ExperimentService:
                 writer, ok_response(req_id, status=job.state, job=job.job_id, key=key)
             )
             return
-        await self._send(writer, await self._await_job(job, req_id, deadline, t0))
+        await self._send_result(writer, job, req_id, deadline, t0)
+
+    async def _send_result(self, writer, job: Job, req_id, deadline, t0) -> None:
+        """Wait for ``job``, then send its cell (or why there is none)."""
+        response = await self._await_job(job, req_id, deadline, t0)
+        if await self._send(writer, response) and response["ok"]:
+            self.metrics.count("served")
 
     async def _await_job(self, job: Job, req_id, deadline, t0) -> dict:
         try:
@@ -523,7 +537,6 @@ class ExperimentService:
             return error_response(req_id, "failed", job.error or "simulation failed")
         if job.state == "cancelled":
             return error_response(req_id, "cancelled", f"{job.job_id} was cancelled")
-        self.metrics.count("served")
         self.metrics.observe("serve", time.monotonic() - t0)
         return ok_response(
             req_id,
@@ -566,7 +579,7 @@ class ExperimentService:
         except ProtocolError as exc:
             await self._send(writer, error_response(req_id, "bad-request", str(exc)))
             return
-        await self._send(writer, await self._await_job(job, req_id, deadline, t0))
+        await self._send_result(writer, job, req_id, deadline, t0)
 
     async def _verb_watch(self, msg, req_id, writer) -> None:
         """Stream state transitions, then the final result response."""
@@ -590,7 +603,7 @@ class ExperimentService:
                 )
         finally:
             job.subscribers.remove(events)
-        await self._send(writer, await self._await_job(job, req_id, None, t0))
+        await self._send_result(writer, job, req_id, None, t0)
 
     async def _verb_cancel(self, msg, req_id, writer) -> None:
         job = self._lookup(msg, req_id)
@@ -645,7 +658,7 @@ class ExperimentService:
 # ----------------------------------------------------------------------
 # Thread harness
 # ----------------------------------------------------------------------
-class ServiceThread:
+class ServiceThread(LoopThread):
     """Run an :class:`ExperimentService` on a background thread.
 
     What tests, benchmarks and ``examples/compare_os.py --serve`` use: a
@@ -657,59 +670,14 @@ class ServiceThread:
         if config is not None and overrides:
             raise ValueError("pass either a ServiceConfig or keyword overrides")
         self.config = config or ServiceConfig(**overrides)
-        self.service: Optional[ExperimentService] = None
-        self.port: Optional[int] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._error: Optional[BaseException] = None
+        super().__init__(lambda: ExperimentService(self.config), "repro-service")
 
-    def start(self) -> "ServiceThread":
-        self._thread = threading.Thread(
-            target=lambda: asyncio.run(self._main()), daemon=True,
-            name="repro-service",
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=60):
-            raise RuntimeError("service thread failed to start within 60s")
-        if self._error is not None:
-            raise RuntimeError(f"service failed to start: {self._error}")
-        return self
-
-    async def _main(self) -> None:
-        self.service = ExperimentService(self.config)
-        try:
-            await self.service.start()
-        except BaseException as exc:  # surfaced to start() in the caller
-            self._error = exc
-            self._ready.set()
-            return
-        self._loop = asyncio.get_running_loop()
-        self.port = self.service.port
-        self._ready.set()
-        await self.service.wait_closed()
+    @property
+    def service(self) -> Optional[ExperimentService]:
+        return self.served
 
     def pause(self) -> None:
         self._loop.call_soon_threadsafe(self.service.pause)
 
     def resume(self) -> None:
         self._loop.call_soon_threadsafe(self.service.resume)
-
-    def stop(self, timeout: float = 120.0) -> None:
-        """Drain and join; safe to call after a client-driven shutdown."""
-        if self._thread is None or not self._thread.is_alive():
-            return
-        try:
-            future = asyncio.run_coroutine_threadsafe(
-                self.service.shutdown(), self._loop
-            )
-            future.result(timeout=timeout)
-        except (RuntimeError, asyncio.CancelledError):
-            pass  # loop already closing via a client-side shutdown verb
-        self._thread.join(timeout=timeout)
-
-    def __enter__(self) -> "ServiceThread":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

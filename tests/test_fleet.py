@@ -26,6 +26,7 @@ import asyncio
 import json
 import socket
 import threading
+import time
 from collections import Counter
 
 import pytest
@@ -45,7 +46,9 @@ from repro.service import (
     ServiceError,
     ServiceThread,
     ServiceUnavailable,
+    protocol,
 )
+from repro.service import client as client_module
 
 #: Short cells keep the module fast; determinism is duration-independent.
 DURATION_S = 0.5
@@ -252,7 +255,6 @@ def _wait_live(router, expected, deadline_s=10.0):
         for _ in range(int(deadline_s / 0.05)):
             if client.fleet_stats()["registry"]["live"] >= expected:
                 return
-            import time
             time.sleep(0.05)
     raise AssertionError(f"fleet never reached {expected} live workers")
 
@@ -561,3 +563,65 @@ class TestWorkerSatellites:
                 pong = client.heartbeat()
         assert pong["alive"] is True
         assert pong["uptime_s"] >= 0.0
+
+
+# ----------------------------------------------------------------------
+# Over-cap results: a typed, immediate too-large error
+# ----------------------------------------------------------------------
+#: Requests and error lines fit in 2 KB; the cell's ~5.5 KB result does not.
+SMALL_CAP = 2048
+BIG_CELL = ExperimentConfig(os_name="nt4", workload="office", duration_s=0.5, seed=1999)
+
+
+class TestTooLarge:
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_LINE_BYTES", SMALL_CAP)
+
+    @staticmethod
+    def _refused(client) -> float:
+        """Submit the over-cap cell; return how long the refusal took."""
+        start = time.monotonic()
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(BIG_CELL)
+        assert excinfo.value.code == "too-large"
+        assert f"{SMALL_CAP}-byte line cap" in excinfo.value.message
+        return time.monotonic() - start
+
+    def test_worker_refuses_an_over_cap_result(self, tmp_path):
+        with ServiceThread(cache_dir=tmp_path) as server:
+            with ServiceClient(port=server.port, timeout=30) as client:
+                simulated = self._refused(client)
+                stored = self._refused(client)
+                counters = client.stats()["counters"]
+        assert simulated < 1.0 and stored < 1.0
+        assert counters["too_large"] == 2 and counters["served"] == 0
+        assert counters["simulations"] == 1 and counters["cache_hits"] == 1
+
+    def test_router_refuses_without_retry_or_failover(self, tmp_path):
+        router, workers = _fleet(tmp_path, workers=1, cache_dir=tmp_path)
+        try:
+            with ServiceClient(port=router.port, timeout=30) as client:
+                relayed = self._refused(client)  # the worker's refusal
+                stored = self._refused(client)   # the router's shared store
+                routed = client.stats()["counters"]
+            with ServiceClient(port=workers[0].port) as worker:
+                worked = worker.stats()["counters"]
+        finally:
+            workers[0].stop()
+            router.stop()
+        assert relayed < 1.0 and stored < 1.0
+        assert routed["forwarded"] == 1 and routed["cache_hits"] == 1
+        assert routed["too_large"] == 1 and routed["served"] == 0
+        assert routed["forward_retries"] == routed["failovers"] == 0
+        assert worked["too_large"] == 1 and worked["simulations"] == 1
+
+    def test_client_types_a_line_that_reaches_its_own_cap(self, monkeypatch):
+        # The server keeps the default cap; only the client's is small.
+        monkeypatch.setattr(protocol, "MAX_LINE_BYTES", client_module.MAX_LINE_BYTES)
+        monkeypatch.setattr(client_module, "MAX_LINE_BYTES", SMALL_CAP)
+        with ServiceThread() as server:
+            with ServiceClient(port=server.port, timeout=30) as client:
+                self._refused(client)
+                with pytest.raises(ServiceUnavailable):
+                    client.stats()  # the desynchronised connection was dropped

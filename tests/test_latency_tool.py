@@ -48,7 +48,7 @@ class TestMechanics:
 
     def test_priorities_alternate(self):
         tool, ss = run_tool(duration_ms=2000)
-        priorities = [s.priority for s in ss.samples[:10]]
+        priorities = [s.priority for s in ss.iter_samples()][:10]
         assert set(priorities) == {24, 28}
         # Strict alternation.
         for a, b in zip(priorities, priorities[1:]):
@@ -56,7 +56,7 @@ class TestMechanics:
 
     def test_samples_complete(self):
         tool, ss = run_tool(duration_ms=2000)
-        for sample in ss.samples:
+        for sample in ss.iter_samples():
             assert sample.complete
             assert sample.t_read < sample.t_dpc < sample.t_thread
 
@@ -81,13 +81,13 @@ class TestOsAsymmetry:
 
     def test_win98_records_isr_timestamps(self):
         tool, ss = run_tool(os_name="win98", duration_ms=1000)
-        assert all(s.t_isr is not None for s in ss.samples)
+        assert all(s.t_isr is not None for s in ss.iter_samples())
         assert len(ss.latencies_ms(LatencyKind.ISR)) == len(ss)
         assert len(ss.latencies_ms(LatencyKind.DPC)) == len(ss)
 
     def test_nt4_has_no_isr_timestamps(self):
         tool, ss = run_tool(os_name="nt4", duration_ms=1000)
-        assert all(s.t_isr is None for s in ss.samples)
+        assert all(s.t_isr is None for s in ss.iter_samples())
         assert ss.latencies_ms(LatencyKind.ISR) == []
         assert ss.latencies_ms(LatencyKind.DPC) == []
         # DPC interrupt latency is still measurable (estimated origin).
@@ -95,7 +95,7 @@ class TestOsAsymmetry:
 
     def test_omniscient_mode_hooks_nt(self):
         tool, ss = run_tool(os_name="nt4", duration_ms=1000, omniscient=True)
-        assert all(s.t_isr is not None for s in ss.samples)
+        assert all(s.t_isr is not None for s in ss.iter_samples())
 
 
 class TestMeasurementArithmetic:

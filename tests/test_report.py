@@ -7,7 +7,8 @@ from repro.core.report import (
     format_figure4_grid,
     format_figure4_panel,
 )
-from repro.core.samples import LatencyKind
+from repro.core.samples import LatencyKind, SampleSet
+from repro.sim.clock import CpuClock
 from tests.test_core_worst_case import synthetic_sample_set
 
 
@@ -24,14 +25,13 @@ class TestFigure4Formatting:
         assert "win98" in text
 
     def test_grid_covers_all_cells(self):
-        results = {}
-        for os_name in ("nt4", "win98"):
-            ss = synthetic_sample_set(n=300)
-            ss.os_name = os_name
-            if os_name == "nt4":
-                for sample in ss.samples:  # NT tool records no ISR stamps
-                    sample.t_isr = None
-            results[(os_name, "office")] = _FakeResult(ss)
+        win98 = synthetic_sample_set(n=300)
+        nt4 = SampleSet(win98.clock, "nt4", "office", win98.duration_s)
+        for sample in win98.iter_samples():
+            sample.t_isr = None  # the NT tool records no ISR stamps
+            nt4.add(sample)
+        results = {("nt4", "office"): _FakeResult(nt4),
+                   ("win98", "office"): _FakeResult(win98)}
         panels = format_figure4_grid(results)
         # win98 gets an extra ISR panel: 3 + 4 panels.
         assert len(panels) == 7
@@ -43,7 +43,6 @@ class TestFigure4Formatting:
         assert quality.thread_default_ms > 0
 
     def test_service_quality_requires_data(self):
-        ss = synthetic_sample_set(n=10)
-        ss.samples.clear()
+        ss = SampleSet(CpuClock(), "win98", "office", duration_s=1.0)
         with pytest.raises(ValueError):
             ServiceQuality.from_sample_set(ss)

@@ -1,9 +1,8 @@
 """The columnar sample recorder behind SampleSet.
 
-Covers the ISSUE-2 acceptance points: column/RawSample-view equivalence,
-sorted-cache invalidation on append, histogram streaming vs ``from_values``,
-plus the list-backed escape hatch and cross-process pickling the campaign
-runner depends on.
+Covers column/RawSample-view equivalence, sorted-cache invalidation on
+append, histogram streaming vs ``from_values``, plus the cross-process
+pickling the campaign runner depends on.
 """
 
 import pickle
@@ -82,7 +81,6 @@ class TestColumnarSampleSet:
     def test_view_matches_per_sample_arithmetic(self):
         """Columnar latency series == the RawSample-by-RawSample series."""
         ss = build_set()
-        assert ss.is_columnar
         for kind in LatencyKind:
             for priority in (None, 28, 24):
                 for origin in ("auto", "estimate", "truth"):
@@ -109,24 +107,11 @@ class TestColumnarSampleSet:
         assert len(second) == len(first) + 1
         assert second == sorted(ss.latencies_ms(LatencyKind.THREAD, priority=28))
 
-    def test_samples_escape_hatch_honours_mutation(self):
-        ss = build_set()
-        samples = ss.samples
-        assert not ss.is_columnar
-        with_isr_before = len(ss.latencies_ms(LatencyKind.ISR))
-        assert with_isr_before > 0
-        for sample in samples:
-            sample.t_isr = None
-        assert ss.latencies_ms(LatencyKind.ISR) == []
-        # Same list object on every access, list mutations included.
-        samples.clear()
-        assert len(ss) == 0
-
     def test_pickle_drops_to_compact_columns(self):
         ss = build_set()
         ss.sorted_latencies_ms(LatencyKind.THREAD, priority=28)  # warm a cache
         restored = pickle.loads(pickle.dumps(ss))
-        assert restored.is_columnar
+        assert restored._sorted_cache == {}
         assert list(restored.iter_samples()) == list(ss.iter_samples())
         assert restored.latencies_ms(LatencyKind.DPC_INTERRUPT) == ss.latencies_ms(
             LatencyKind.DPC_INTERRUPT

@@ -384,7 +384,11 @@ class TestServeCli:
         port = int(banner.rsplit(":", 1)[1])
         yield process, port
         if process.poll() is None:
-            process.kill()
+            process.terminate()  # a drain also reaps the pool's workers
+            try:
+                process.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                process.kill()
         process.wait(timeout=30)
 
     def test_submit_against_live_server_and_sigterm_drain(self, server_process):

@@ -10,8 +10,11 @@ from repro.core.export import sample_set_to_json
 from repro.drivers.latency import LatencyToolConfig
 from repro.kernel.dpc import DpcImportance
 from repro.service.metrics import ServiceMetrics
+from repro.service import protocol
 from repro.service.protocol import (
+    ERROR_CODES,
     PROTOCOL_VERSION,
+    MessageTooLarge,
     ProtocolError,
     config_from_wire,
     config_to_wire,
@@ -110,6 +113,15 @@ class TestFraming:
         with pytest.raises(ProtocolError):
             request("frobnicate")
 
+    def test_encode_refuses_a_line_over_the_cap(self, monkeypatch):
+        fits = encode_message(ok_response("r1", sample_set="x" * 100))
+        monkeypatch.setattr(protocol, "MAX_LINE_BYTES", len(fits))
+        assert encode_message(ok_response("r1", sample_set="x" * 100)) == fits
+        with pytest.raises(MessageTooLarge, match=f"{len(fits) + 1}-byte .* "
+                                                   f"{len(fits)}-byte line cap"):
+            encode_message(ok_response("r1", sample_set="x" * 101))
+        assert "too-large" in ERROR_CODES
+
     def test_response_shapes(self):
         ok = ok_response("r1", status="done")
         assert ok["ok"] is True and ok["id"] == "r1"
@@ -123,7 +135,7 @@ class TestFraming:
 # ----------------------------------------------------------------------
 def _cell_text(seed: int) -> str:
     # Stand-in serialized cell; the store never parses its contents.
-    return json.dumps({"schema": "repro.sample_set/1", "seed": seed})
+    return json.dumps({"schema": "repro.sample_set/2", "seed": seed})
 
 
 class TestResultStore:

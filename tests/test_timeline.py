@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core.samples import LatencyKind
+from repro.core.samples import LatencyKind, SampleSet
 from repro.core.timeline import render_cycle_timeline, worst_cycle
+from repro.sim.clock import CpuClock
 from tests.test_core_samples import full_sample
 from tests.test_core_worst_case import synthetic_sample_set
 
@@ -43,8 +44,7 @@ class TestWorstCycle:
         assert measured == pytest.approx(max(values))
 
     def test_no_data_raises(self):
-        ss = synthetic_sample_set(n=10)
-        ss.samples.clear()
+        ss = SampleSet(CpuClock(), "win98", "office", duration_s=1.0)
         with pytest.raises(ValueError):
             worst_cycle(ss, LatencyKind.THREAD)
 
