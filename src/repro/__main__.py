@@ -170,7 +170,6 @@ def cmd_serve(args) -> int:
         port=args.port,
         queue_limit=args.queue_limit,
         max_workers=args.jobs,
-        batch_size=args.batch_size,
         cache_dir=args.cache_dir,
         register_with=args.register,
         worker_name=args.name,
@@ -349,7 +348,6 @@ _FLAG_CHECKS = (
     ("units", lambda v: v > 0, "--units must be a positive work-unit count"),
     ("jobs", lambda v: v >= 1, "--jobs must be at least 1"),
     ("queue_limit", lambda v: v >= 1, "--queue-limit must be at least 1"),
-    ("batch_size", lambda v: v >= 1, "--batch-size must be at least 1"),
     ("port", lambda v: v is None or 0 <= v <= 65535, "--port must be in 0..65535"),
     ("timeout", lambda v: v is None or v > 0, "--timeout must be positive seconds"),
     ("deadline", lambda v: v is None or v > 0, "--deadline must be positive seconds"),
@@ -419,8 +417,6 @@ def main(argv=None) -> int:
                         "an explicit 'overloaded' rejection")
     p.add_argument("--jobs", type=int, default=2,
                    help="simulation worker processes")
-    p.add_argument("--batch-size", type=int, default=4,
-                   help="cells dispatched per scheduler cycle")
     p.add_argument("--cache-dir", default=None,
                    help="content-addressed result store (campaign-cache "
                         "format, replayable offline); point every fleet "

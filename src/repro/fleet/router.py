@@ -34,6 +34,7 @@ same config.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import random
 import time
@@ -42,14 +43,13 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.campaign import cache_key
+from repro.service.endpoint import NdjsonServer
 from repro.service.loop_thread import LoopThread
 from repro.service.metrics import ROUTER_COUNTERS, ROUTER_STAGES, ServiceMetrics
 from repro.service.protocol import (
     MAX_LINE_BYTES,
-    MessageTooLarge,
     ProtocolError,
     config_from_wire,
-    decode_message,
     encode_message,
     error_response,
     ok_response,
@@ -117,10 +117,21 @@ class RouterConfig:
             raise ValueError("heartbeat interval/timeout must be positive")
 
 
-class FleetRouter:
+class FleetRouter(NdjsonServer):
     """The routing loop: admit, shard, forward, fail over, relay."""
 
     def __init__(self, config: Optional[RouterConfig] = None):
+        super().__init__({
+            "submit": self._verb_submit,
+            "status": self._verb_proxy_job,
+            "result": self._verb_proxy_job,
+            "cancel": self._verb_proxy_job,
+            "watch": self._verb_watch,
+            "register": self._verb_register,
+            "heartbeat": self._verb_heartbeat,
+            "stats": self._verb_stats,
+            "fleet_stats": self._verb_fleet_stats,
+        })
         self.config = config or RouterConfig()
         self.registry = WorkerRegistry(vnodes=self.config.vnodes)
         self.admission = AdmissionController(
@@ -134,74 +145,61 @@ class FleetRouter:
         self.store = ResultStore(
             cache_dir=self.config.cache_dir, hot_capacity=self.config.hot_capacity
         )
-        self.port: Optional[int] = None
         self._pools: Dict[str, List[Tuple[asyncio.StreamReader,
                                           asyncio.StreamWriter]]] = {}
-        self._draining = False
         self._active = 0
-        self._server: Optional[asyncio.base_events.Server] = None
+        self._quiet = asyncio.Event()  # set while no forward is in flight
+        self._quiet.set()
         self._prober: Optional[asyncio.Task] = None
-        self._closed: Optional[asyncio.Event] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        self._closed = asyncio.Event()
+        """Seed the static workers, bind the socket, start probing."""
         for endpoint in self.config.workers:
             host, _, port = endpoint.rpartition(":")
             self.registry.register(endpoint, host or "127.0.0.1", int(port))
             self.metrics.count("registrations")
-        self._server = await asyncio.start_server(
-            self._handle_conn,
-            host=self.config.host,
-            port=self.config.port,
-            limit=MAX_LINE_BYTES,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        await super().start()
         self._prober = asyncio.create_task(self._probe_loop())
 
-    async def wait_closed(self) -> None:
-        await self._closed.wait()
-
-    async def shutdown(self) -> int:
-        """Graceful drain: finish in-flight forwards, then close.
+    async def _drain(self) -> int:
+        """Finish in-flight forwards, stop probing, drop worker sockets.
 
         Workers are *not* shut down -- they drain independently (their
         own ``shutdown`` verb or SIGTERM); the router only owns routing
         state.  Returns the number of forwards drained.
         """
-        if self._draining:
-            await self._closed.wait()
-            return 0
-        self._draining = True
         drained = self._active
-        while self._active:
-            await asyncio.sleep(0.01)
-        if self._prober is not None:
-            self._prober.cancel()
-            try:
-                await self._prober
-            except asyncio.CancelledError:
-                pass
+        await self._quiet.wait()
+        self._prober.cancel()
+        try:
+            await self._prober
+        except asyncio.CancelledError:
+            pass
         for name in list(self._pools):
-            await self._drop_pool(name)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        self._closed.set()
+            self._drop_pool(name)
         return drained
+
+    @contextlib.contextmanager
+    def _forwarding(self):
+        """Count one forward in flight, for the gauge and the drain."""
+        self._active += 1
+        self._quiet.clear()
+        try:
+            yield
+        finally:
+            self._active -= 1
+            if not self._active:
+                self._quiet.set()
 
     # ------------------------------------------------------------------
     # Worker connections (pooled, one round trip per checkout)
     # ------------------------------------------------------------------
-    async def _drop_pool(self, name: str) -> None:
+    def _drop_pool(self, name: str) -> None:
         for _, writer in self._pools.pop(name, []):
             writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, asyncio.CancelledError):
-                pass
 
     async def _worker_roundtrip(
         self, worker, payload: dict, timeout: Optional[float] = None
@@ -237,10 +235,8 @@ class FleetRouter:
     def _mark_down(self, worker) -> None:
         if self.registry.mark_down(worker.name):
             self.metrics.count("workers_marked_down")
-        # Pooled sockets to a down worker are dead weight; drop them
-        # outside the await path (best effort, closed lazily).
-        for _, writer in self._pools.pop(worker.name, []):
-            writer.close()
+        # Pooled sockets to a down worker are dead weight.
+        self._drop_pool(worker.name)
 
     def _mark_up(self, name: str) -> None:
         if self.registry.mark_up(name):
@@ -282,88 +278,17 @@ class FleetRouter:
                 self.metrics.count("workers_marked_down")
 
     # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-    async def _send(self, writer: asyncio.StreamWriter, payload: dict) -> bool:
-        """Write one message; ``False`` if it would not fit in one line and
-        a ``too-large`` error went out in its place (a store-served cell
-        can be over the cap)."""
-        try:
-            line, fits = encode_message(payload), True
-        except MessageTooLarge as exc:
-            self.metrics.count("too_large")
-            line, fits = encode_message(
-                error_response(payload.get("id"), "too-large", f"result refused: {exc}")
-            ), False
-        writer.write(line)
-        await writer.drain()
-        return fits
-
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        verbs = {
-            "submit": self._verb_submit,
-            "status": self._verb_proxy_job,
-            "result": self._verb_proxy_job,
-            "cancel": self._verb_proxy_job,
-            "register": self._verb_register,
-            "heartbeat": self._verb_heartbeat,
-            "stats": self._verb_stats,
-            "fleet_stats": self._verb_fleet_stats,
-            "shutdown": self._verb_shutdown,
-        }
-        peer = writer.get_extra_info("peername") or ("?",)
-        default_client = str(peer[0])
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                try:
-                    msg = decode_message(line)
-                except ProtocolError as exc:
-                    code = ("unsupported-version" if "version" in str(exc)
-                            else "bad-request")
-                    await self._send(writer, error_response(None, code, str(exc)))
-                    continue
-                req_id = msg.get("id")
-                verb = msg.get("verb")
-                handler = verbs.get(verb)
-                if handler is None:
-                    message = (
-                        "watch is not routed; open it against the owning worker"
-                        if verb == "watch"
-                        else f"unknown verb {verb!r}"
-                    )
-                    await self._send(
-                        writer, error_response(req_id, "bad-request", message)
-                    )
-                    continue
-                await handler(msg, req_id, writer, default_client)
-        except (ConnectionResetError, BrokenPipeError, ValueError):
-            pass
-        except asyncio.CancelledError:
-            # Loop teardown cancels handlers idling in readline(); finish
-            # cleanly so asyncio's exception logger stays quiet at drain.
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, asyncio.CancelledError):
-                pass
-
-    # ------------------------------------------------------------------
     # Verbs: registration + liveness
     # ------------------------------------------------------------------
-    async def _verb_register(self, msg, req_id, writer, default_client) -> None:
+    async def _verb_register(self, msg, req_id, writer) -> None:
         name = msg.get("name")
         host = msg.get("host")
         port = msg.get("port")
+        # JSON true/false decode to bool, which is an int subclass.
         if (not isinstance(name, str) or not name
                 or not isinstance(host, str) or not host
-                or not isinstance(port, int) or not 0 < port <= 65535):
+                or isinstance(port, bool) or not isinstance(port, int)
+                or not 0 < port <= 65535):
             await self._send(writer, error_response(
                 req_id, "bad-request",
                 "register needs a name, host and port in 1..65535",
@@ -376,7 +301,7 @@ class FleetRouter:
             heartbeat_interval_s=self.config.heartbeat_interval_s,
         ))
 
-    async def _verb_heartbeat(self, msg, req_id, writer, default_client) -> None:
+    async def _verb_heartbeat(self, msg, req_id, writer) -> None:
         self.metrics.count("heartbeats")
         name = msg.get("name")
         if name is None:
@@ -396,10 +321,16 @@ class FleetRouter:
             self._mark_up(name)
         await self._send(writer, ok_response(req_id, alive=True, worker=name))
 
+    async def _verb_watch(self, msg, req_id, writer) -> None:
+        await self._send(writer, error_response(
+            req_id, "bad-request",
+            "watch is not routed; open it against the owning worker",
+        ))
+
     # ------------------------------------------------------------------
     # Verbs: submit (the routed hot path)
     # ------------------------------------------------------------------
-    async def _verb_submit(self, msg, req_id, writer, default_client) -> None:
+    async def _verb_submit(self, msg, req_id, writer) -> None:
         t0 = time.monotonic()
         if self._draining:
             self.metrics.count("rejected_shutdown")
@@ -414,9 +345,9 @@ class FleetRouter:
                 f"unknown lane {lane!r} (expected one of {LANES})",
             ))
             return
-        client_id = msg.get("client") or default_client
-        if not isinstance(client_id, str):
-            client_id = default_client
+        client_id = msg.get("client")
+        if not client_id or not isinstance(client_id, str):
+            client_id = str((writer.get_extra_info("peername") or ("?",))[0])
         decision = self.admission.admit(client_id, lane)
         if not decision.admitted:
             self.metrics.count(
@@ -428,12 +359,11 @@ class FleetRouter:
                 retry_after_s=decision.retry_after_s,
             ))
             return
-        self._active += 1
-        try:
-            await self._routed_submit(msg, req_id, writer, t0)
-        finally:
-            self._active -= 1
-            self.admission.release(lane)
+        with self._forwarding():
+            try:
+                await self._routed_submit(msg, req_id, writer, t0)
+            finally:
+                self.admission.release(lane)
 
     async def _routed_submit(self, msg, req_id, writer, t0: float) -> None:
         try:
@@ -533,7 +463,7 @@ class FleetRouter:
     # ------------------------------------------------------------------
     # Verbs: job proxying (status / result / cancel on "worker/job-N")
     # ------------------------------------------------------------------
-    async def _verb_proxy_job(self, msg, req_id, writer, default_client) -> None:
+    async def _verb_proxy_job(self, msg, req_id, writer) -> None:
         job = msg.get("job")
         if not isinstance(job, str) or "/" not in job:
             await self._send(writer, error_response(
@@ -559,19 +489,17 @@ class FleetRouter:
         forward = dict(msg)
         forward["job"] = worker_job
         forward["id"] = req_id
-        self._active += 1
-        try:
-            response = await self._worker_roundtrip(worker, forward)
-        except (ConnectionError, OSError, json.JSONDecodeError):
-            self._mark_down(worker)
-            self.metrics.count("failovers")
-            response = error_response(
-                req_id, "unavailable",
-                f"worker {worker_name!r} died mid-call; resubmit the cell",
-                retry_after_s=_UNAVAILABLE_RETRY_AFTER_S,
-            )
-        finally:
-            self._active -= 1
+        with self._forwarding():
+            try:
+                response = await self._worker_roundtrip(worker, forward)
+            except (ConnectionError, OSError, json.JSONDecodeError):
+                self._mark_down(worker)
+                self.metrics.count("failovers")
+                response = error_response(
+                    req_id, "unavailable",
+                    f"worker {worker_name!r} died mid-call; resubmit the cell",
+                    retry_after_s=_UNAVAILABLE_RETRY_AFTER_S,
+                )
         if response.get("ok") and isinstance(response.get("job"), str):
             response["job"] = f"{worker_name}/{response['job']}"
         if req_id is not None:
@@ -581,7 +509,7 @@ class FleetRouter:
     # ------------------------------------------------------------------
     # Verbs: observability + drain
     # ------------------------------------------------------------------
-    async def _verb_stats(self, msg, req_id, writer, default_client) -> None:
+    async def _verb_stats(self, msg, req_id, writer) -> None:
         snapshot = self.metrics.snapshot(
             queue_depth=0,  # the router never queues; it sheds
             active_forwards=self._active,
@@ -593,7 +521,7 @@ class FleetRouter:
         )
         await self._send(writer, ok_response(req_id, stats=snapshot))
 
-    async def _verb_fleet_stats(self, msg, req_id, writer, default_client) -> None:
+    async def _verb_fleet_stats(self, msg, req_id, writer) -> None:
         fleet = {
             "registry": self.registry.snapshot(),
             "admission": self.admission.gauges(),
@@ -603,10 +531,6 @@ class FleetRouter:
             ),
         }
         await self._send(writer, ok_response(req_id, fleet=fleet))
-
-    async def _verb_shutdown(self, msg, req_id, writer, default_client) -> None:
-        drained = await self.shutdown()
-        await self._send(writer, ok_response(req_id, status="closed", drained=drained))
 
 
 # ----------------------------------------------------------------------

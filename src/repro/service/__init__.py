@@ -5,9 +5,9 @@ service: clients submit :class:`~repro.core.experiment.ExperimentConfig`
 cells over a newline-delimited-JSON TCP protocol and receive sample sets
 that are byte-identical to a serial ``run_campaign`` -- with a bounded
 admission queue (explicit backpressure), coalescing of identical cells,
-micro-batched dispatch onto a process-pool worker tier, a content-
-addressed result store shared with the campaign cache, and graceful
-drain on shutdown.
+per-job dispatch onto a process-pool worker tier, a content-addressed
+result store shared with the campaign cache, and graceful drain on
+shutdown.
 
 Quick start::
 

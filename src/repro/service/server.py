@@ -13,22 +13,26 @@ latency-measurement service under load:
   campaign cache's :func:`~repro.core.campaign.cache_key`; N clients
   asking for the same cell share one queue slot and one simulation, and
   all N receive byte-identical results.
-* **Micro-batched dispatch.**  The dispatcher drains up to ``batch_size``
-  jobs per cycle onto a :class:`~concurrent.futures.ProcessPoolExecutor`,
-  so independent cells run in parallel on the existing worker tier while
-  admission stays responsive.
+* **Per-job dispatch.**  An admitted job starts on a
+  :class:`~concurrent.futures.ProcessPoolExecutor` as soon as fewer than
+  ``max_workers`` jobs are running, and is finished from its own
+  completion, so a short cell never waits for a long one that started
+  with it.
 * **Determinism end to end.**  Workers return the *serialized* sample
   set; the store and the wire carry those exact bytes.  A served result
   is byte-identical to ``run_campaign`` run serially, and every served
   cell lands in the on-disk campaign cache for offline replay.
 * **Graceful drain.**  Shutdown (verb or SIGTERM) rejects new submits,
   finishes everything already admitted, flushes the store and only then
-  closes -- no torn cache files, no abandoned clients.
+  closes -- no torn cache files, no abandoned clients.  The connection
+  loop and the drain are :class:`~repro.service.endpoint.NdjsonServer`'s,
+  shared with the fleet router.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import time
 from collections import deque
@@ -40,14 +44,12 @@ from typing import Deque, Dict, List, Optional, Union
 from repro.core.campaign import cache_key
 from repro.core.experiment import ExperimentConfig, run_latency_experiment
 from repro.core.export import sample_set_to_json
+from repro.service.endpoint import NdjsonServer
 from repro.service.loop_thread import LoopThread
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
-    MAX_LINE_BYTES,
-    MessageTooLarge,
     ProtocolError,
     config_from_wire,
-    decode_message,
     encode_message,
     error_response,
     ok_response,
@@ -58,9 +60,9 @@ from repro.service.store import ResultStore
 #: Completed job records kept for late ``status``/``result`` calls.
 MAX_FINISHED_JOBS = 1024
 
-#: Retry hint attached to ``overloaded`` rejections: roughly one
-#: dispatcher cycle of a busy queue -- long enough to matter, short
-#: enough that shed clients converge quickly once pressure lifts.
+#: Retry hint attached to ``overloaded`` rejections: roughly one short
+#: cell's run on a busy pool -- long enough to matter, short enough that
+#: shed clients converge quickly once pressure lifts.
 OVERLOADED_RETRY_AFTER_S = 0.5
 
 
@@ -95,18 +97,19 @@ class ServiceConfig:
         host: Bind address.
         port: TCP port; ``0`` picks an ephemeral port (``.port`` on the
             started service reports the real one).
-        queue_limit: Bound on *distinct* cells awaiting dispatch; the
+        queue_limit: Bound on *distinct* cells not yet started; the
             next distinct submit gets an ``overloaded`` rejection.
-        max_workers: Simulation worker processes.
-        batch_size: Jobs dispatched onto the pool per dispatcher cycle.
+        max_workers: Simulation worker processes, and so the number of
+            jobs running at once: a queued job starts as soon as one of
+            them finishes.
         cache_dir: Persistent result store (campaign-cache format);
             ``None`` keeps results in the hot LRU only.  In a fleet,
             point every worker (and the router) at one shared directory:
             the atomic-rename writer makes it multi-writer safe, and any
             tier can then serve any cell the fleet ever computed.
         hot_capacity: In-process LRU size (serialized cells).
-        start_paused: Admit but do not dispatch until ``resume()`` --
-            used by tests to make queueing behaviour deterministic.
+        start_paused: Admit but start no job until ``resume()`` -- used
+            by tests to make queueing behaviour deterministic.
         register_with: ``"host:port"`` of a fleet router to self-register
             with (``python -m repro serve --register``).  The worker
             announces itself on start and pushes heartbeats until drain;
@@ -122,7 +125,6 @@ class ServiceConfig:
     port: int = 0
     queue_limit: int = 16
     max_workers: int = 2
-    batch_size: int = 4
     cache_dir: Optional[Union[str, Path]] = None
     hot_capacity: int = 64
     start_paused: bool = False
@@ -136,8 +138,6 @@ class ServiceConfig:
             raise ValueError(f"queue_limit must be >= 1, got {self.queue_limit}")
         if self.max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.heartbeat_interval_s <= 0:
             raise ValueError(
                 f"heartbeat_interval_s must be positive, got "
@@ -175,76 +175,55 @@ class Job:
         self.subscribers: List[asyncio.Queue] = []
 
 
-class ExperimentService:
+class ExperimentService(NdjsonServer):
     """The serving loop: admission, coalescing, dispatch, drain."""
 
     def __init__(self, config: Optional[ServiceConfig] = None):
+        super().__init__({
+            "submit": self._verb_submit,
+            "status": self._verb_status,
+            "result": self._verb_result,
+            "watch": self._verb_watch,
+            "cancel": self._verb_cancel,
+            "stats": self._verb_stats,
+            "heartbeat": self._verb_heartbeat,
+        })
         self.config = config or ServiceConfig()
         self.store = ResultStore(
             cache_dir=self.config.cache_dir, hot_capacity=self.config.hot_capacity
         )
         self.metrics = ServiceMetrics()
-        self.port: Optional[int] = None
         self._queue: Deque[Job] = deque()
         self._jobs: Dict[str, Job] = {}
         self._by_key: Dict[str, Job] = {}
         self._finished_order: Deque[str] = deque()
         self._job_ids = itertools.count(1)
         self._running = 0
-        self._draining = False
-        self._stop_dispatch = False
-        self._server: Optional[asyncio.base_events.Server] = None
+        self._paused = self.config.start_paused
         self._executor: Optional[ProcessPoolExecutor] = None
-        self._dispatcher: Optional[asyncio.Task] = None
         self._registrar: Optional[asyncio.Task] = None
-        self._work_available: Optional[asyncio.Event] = None
-        self._resume_event: Optional[asyncio.Event] = None
-        self._closed: Optional[asyncio.Event] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Bind the socket, spawn the worker tier, start dispatching."""
-        self._work_available = asyncio.Event()
-        self._resume_event = asyncio.Event()
-        if not self.config.start_paused:
-            self._resume_event.set()
-        self._closed = asyncio.Event()
+        """Spawn the worker tier, bind the socket, register if asked."""
         self._executor = ProcessPoolExecutor(max_workers=self.config.max_workers)
-        self._server = await asyncio.start_server(
-            self._handle_conn,
-            host=self.config.host,
-            port=self.config.port,
-            limit=MAX_LINE_BYTES,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._dispatcher = asyncio.create_task(self._dispatch_loop())
+        await super().start()
         if self.config.register_with:
             self._registrar = asyncio.create_task(self._register_loop())
 
     def pause(self) -> None:
-        """Hold dispatch (admission continues); test hook."""
-        self._resume_event.clear()
+        """Start no further jobs (admission continues); test hook."""
+        self._paused = True
 
     def resume(self) -> None:
-        """Release a paused dispatcher."""
-        self._resume_event.set()
+        """Lift a pause and start the jobs it held back."""
+        self._paused = False
+        self._start_jobs()
 
-    async def wait_closed(self) -> None:
-        await self._closed.wait()
-
-    async def shutdown(self) -> int:
-        """Graceful drain; returns the number of cells drained.
-
-        New submits are rejected from the moment this is called; already
-        admitted work (queued and running) completes and is persisted,
-        then the worker tier and the socket close.  Idempotent.
-        """
-        if self._draining:
-            await self._closed.wait()
-            return 0
-        self._draining = True
+    async def _drain(self) -> int:
+        """Finish every admitted job, queued or running, then the pool."""
         if self._registrar is not None:
             self._registrar.cancel()
             try:
@@ -252,69 +231,58 @@ class ExperimentService:
             except asyncio.CancelledError:
                 pass
         # A paused server must still drain what it admitted.
-        self._resume_event.set()
-        drained = len(self._by_key)
-        while self._by_key:
-            await asyncio.sleep(0.01)
-        self._stop_dispatch = True
-        self._work_available.set()
-        if self._dispatcher is not None:
-            await self._dispatcher
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        self._closed.set()
-        return drained
+        self.resume()
+        pending = [job.future for job in self._by_key.values()]
+        if pending:
+            await asyncio.wait(pending)
+        self._executor.shutdown(wait=True)
+        return len(pending)
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    async def _dispatch_loop(self) -> None:
+    def _start_jobs(self) -> None:
+        """Start queued jobs while fewer than ``max_workers`` are running."""
         loop = asyncio.get_running_loop()
-        while True:
-            while not self._queue:
-                if self._stop_dispatch:
-                    return
-                self._work_available.clear()
-                await self._work_available.wait()
-            await self._resume_event.wait()
-            batch: List[Job] = []
-            while self._queue and len(batch) < self.config.batch_size:
-                batch.append(self._queue.popleft())
-            if not batch:
-                continue
-            now = time.monotonic()
-            self._running += len(batch)
-            for job in batch:
-                job.dispatched_at = now
-                self.metrics.observe("queue_wait", now - job.enqueued_at)
-                self._set_state(job, "running")
-            futures = [
-                loop.run_in_executor(self._executor, _run_cell_serialized, job.config)
-                for job in batch
-            ]
-            results = await asyncio.gather(*futures, return_exceptions=True)
-            done_at = time.monotonic()
-            for job, result in zip(batch, results):
-                self._running -= 1
-                if isinstance(result, BaseException):
-                    self.metrics.count("failed")
-                    job.error = f"{type(result).__name__}: {result}"
-                    self._finish(job, "failed")
-                else:
-                    serialized, sim_counters = result
-                    self.metrics.count("simulations")
-                    # Aggregate engine execution counters across simulated
-                    # (non-cached) runs; reported under ``sim_*`` by the
-                    # ``stats`` verb.
-                    for name, value in sim_counters.items():
-                        self.metrics.count(f"sim_{name}", value)
-                    self.metrics.observe("execute", done_at - job.dispatched_at)
-                    self.store.put(job.config, serialized, key=job.key)
-                    job.serialized = serialized
-                    self._finish(job, "done")
+        while (self._queue and not self._paused
+               and self._running < self.config.max_workers):
+            job = self._queue.popleft()
+            job.dispatched_at = time.monotonic()
+            self.metrics.observe("queue_wait", job.dispatched_at - job.enqueued_at)
+            self._running += 1
+            self._set_state(job, "running")
+            try:
+                future = loop.run_in_executor(
+                    self._executor, _run_cell_serialized, job.config
+                )
+            except RuntimeError as exc:
+                # BrokenProcessPool: a pool process died, and the pool
+                # refuses new work.  Fail the job rather than strand it.
+                future = loop.create_future()
+                future.set_exception(exc)
+            future.add_done_callback(functools.partial(self._job_done, job))
+
+    def _job_done(self, job: Job, future: "asyncio.Future[tuple]") -> None:
+        """Finish ``job`` from its own completion, then start the next."""
+        self._running -= 1
+        try:
+            serialized, sim_counters = future.result()
+        except Exception as exc:
+            self.metrics.count("failed")
+            job.error = f"{type(exc).__name__}: {exc}"
+            self._finish(job, "failed")
+        else:
+            self.metrics.count("simulations")
+            # Aggregate engine execution counters across simulated
+            # (non-cached) runs; reported under ``sim_*`` by the
+            # ``stats`` verb.
+            for name, value in sim_counters.items():
+                self.metrics.count(f"sim_{name}", value)
+            self.metrics.observe("execute", time.monotonic() - job.dispatched_at)
+            self.store.put(job.config, serialized, key=job.key)
+            job.serialized = serialized
+            self._finish(job, "done")
+        self._start_jobs()
 
     # ------------------------------------------------------------------
     # Fleet self-registration (serve --register HOST:PORT)
@@ -374,84 +342,14 @@ class ExperimentService:
                 del self._jobs[stale.job_id]
 
     # ------------------------------------------------------------------
-    # Connections
-    # ------------------------------------------------------------------
-    async def _send(self, writer: asyncio.StreamWriter, payload: dict) -> bool:
-        """Write one message; ``False`` if it would not fit in one line and
-        a ``too-large`` error went out in its place."""
-        try:
-            line, fits = encode_message(payload), True
-        except MessageTooLarge as exc:
-            self.metrics.count("too_large")
-            line, fits = encode_message(
-                error_response(payload.get("id"), "too-large", f"result refused: {exc}")
-            ), False
-        writer.write(line)
-        await writer.drain()
-        return fits
-
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        verbs = {
-            "submit": self._verb_submit,
-            "status": self._verb_status,
-            "result": self._verb_result,
-            "watch": self._verb_watch,
-            "cancel": self._verb_cancel,
-            "stats": self._verb_stats,
-            "heartbeat": self._verb_heartbeat,
-            "shutdown": self._verb_shutdown,
-        }
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                try:
-                    msg = decode_message(line)
-                except ProtocolError as exc:
-                    code = (
-                        "unsupported-version"
-                        if "version" in str(exc)
-                        else "bad-request"
-                    )
-                    await self._send(writer, error_response(None, code, str(exc)))
-                    continue
-                req_id = msg.get("id")
-                handler = verbs.get(msg.get("verb"))
-                if handler is None:
-                    await self._send(
-                        writer,
-                        error_response(
-                            req_id, "bad-request", f"unknown verb {msg.get('verb')!r}"
-                        ),
-                    )
-                    continue
-                await handler(msg, req_id, writer)
-        except (ConnectionResetError, BrokenPipeError, ValueError):
-            pass
-        except asyncio.CancelledError:
-            # Loop teardown cancels handlers idling in readline() (e.g. a
-            # router's pooled connection held open across worker drain);
-            # finishing cleanly keeps asyncio's exception logger quiet.
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, asyncio.CancelledError):
-                # Loop teardown cancels the close waiter; the transport
-                # is already closed, so swallowing the cancel is safe.
-                pass
-
-    # ------------------------------------------------------------------
     # Verbs
     # ------------------------------------------------------------------
     def _decode_deadline(self, msg: dict, field: str = "deadline_s"):
         deadline = msg.get(field)
+        # JSON true/false decode to bool, which is an int subclass.
         if deadline is not None and (
-            not isinstance(deadline, (int, float)) or deadline <= 0
+            isinstance(deadline, bool)
+            or not isinstance(deadline, (int, float)) or deadline <= 0
         ):
             raise ProtocolError(f"{field} must be a positive number")
         return deadline
@@ -508,7 +406,7 @@ class ExperimentService:
             self._by_key[key] = job
             self._queue.append(job)
             self.metrics.count("submitted")
-            self._work_available.set()
+            self._start_jobs()
         if not msg.get("wait", False):
             await self._send(
                 writer, ok_response(req_id, status=job.state, job=job.job_id, key=key)
@@ -649,10 +547,6 @@ class ExperimentService:
             queue_depth=len(self._queue),
             draining=self._draining,
         ))
-
-    async def _verb_shutdown(self, msg, req_id, writer) -> None:
-        drained = await self.shutdown()
-        await self._send(writer, ok_response(req_id, status="closed", drained=drained))
 
 
 # ----------------------------------------------------------------------

@@ -391,6 +391,21 @@ class TestRouterAdmission:
                     client.submit(_config(), lane="bulk")
         assert excinfo.value.code == "bad-request"
 
+    @pytest.mark.parametrize("fields", [
+        {"name": "w0", "host": "127.0.0.1", "port": True},
+        {"name": "w0", "host": "127.0.0.1", "port": 0},
+        {"name": "w0", "host": "127.0.0.1", "port": 70000},
+        {"host": "127.0.0.1", "port": 9000},
+    ], ids=["port-true", "port-0", "port-70000", "no-name"])
+    def test_bad_register_is_bad_request(self, fields):
+        with RouterThread() as router:
+            with ServiceClient(port=router.port) as client:
+                with pytest.raises(ServiceError) as excinfo:
+                    client._request("register", **fields)
+                workers = client.fleet_stats()["registry"]["workers"]
+        assert excinfo.value.code == "bad-request"
+        assert workers == []
+
     def test_stats_expose_uptime_lanes_and_workers(self, tmp_path):
         router, workers = _fleet(tmp_path)
         try:

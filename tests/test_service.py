@@ -9,10 +9,14 @@ pillars under test are the acceptance criteria of the serving layer:
 * **Backpressure + coalescing** -- with queue bound Q, the (Q+1)-th
   distinct in-flight submit is rejected ``overloaded``; K submits of the
   same config run exactly one simulation.
+* **Per-job dispatch** -- a short cell queued with a long one comes back
+  without waiting for it.
 * **Graceful drain** -- shutdown finishes admitted cells, rejects new
-  submits, and leaves the cache directory consistent (no ``.tmp``).
+  submits, leaves the cache directory consistent (no ``.tmp``) and
+  closes its own idle connections, on the worker and the router alike.
 """
 
+import asyncio
 import json
 import os
 import signal
@@ -27,8 +31,9 @@ import pytest
 from repro.core.campaign import cache_key, run_campaign
 from repro.core.experiment import ExperimentConfig
 from repro.core.export import sample_set_to_json
-from repro.service import ServiceClient, ServiceError, ServiceThread
-from repro.service.protocol import PROTOCOL_VERSION
+from repro.fleet import FleetRouter
+from repro.service import ExperimentService, ServiceClient, ServiceError, ServiceThread
+from repro.service.protocol import PROTOCOL_VERSION, encode_message, request
 
 #: Short cells keep the module fast; determinism is duration-independent.
 DURATION_S = 0.5
@@ -181,6 +186,54 @@ class TestBackpressure:
 
 
 # ----------------------------------------------------------------------
+# Dispatch
+# ----------------------------------------------------------------------
+class TestDispatch:
+    def test_short_cell_is_not_held_behind_a_long_one(self):
+        # The long cell needs about ten times the short one's wall time,
+        # so it must still be running when the short one comes back.
+        long_cell = ExperimentConfig(os_name="nt4", workload="office",
+                                     duration_s=10.0, seed=1999)
+        with ServiceThread(max_workers=2, start_paused=True) as server:
+            with ServiceClient(port=server.port) as client:
+                warm = client.submit_nowait(_config("nt4", "idle", seed=7))
+                server.resume()
+                client.result(warm)
+                server.pause()
+                long_job = client.submit_nowait(long_cell)
+                short_job = client.submit_nowait(_config("nt4", "idle"))
+                server.resume()
+                client.result(short_job)
+                long_state = client.status(long_job)["status"]
+                client.result(long_job)
+                execute = client.stats()["stages"]["execute"]
+        assert long_state == "running"
+        # Each job's execute time is its own: warm and short sit far
+        # below the long cell, not at its time.
+        assert execute["count"] == 3
+        assert execute["p50_ms"] < execute["max_ms"] / 2
+
+    def test_dead_pool_process_fails_jobs_instead_of_stranding_them(self):
+        with ServiceThread(max_workers=1) as server:
+            with ServiceClient(port=server.port, timeout=30) as client:
+                client.submit(_config("nt4", "idle"))
+                (pid,) = server.service._executor._processes
+                job = client.submit_nowait(ExperimentConfig(
+                    os_name="nt4", workload="office", duration_s=60.0))
+                os.kill(pid, signal.SIGKILL)
+                with pytest.raises(ServiceError) as killed:
+                    client.result(job)
+                # The broken pool refuses the next cell at submit time.
+                with pytest.raises(ServiceError) as refused:
+                    client.submit(_config("nt4", "idle", seed=5))
+                failed = client.stats()["counters"]["failed"]
+            server.stop(timeout=30)  # the drain has nothing left to wait on
+        assert killed.value.code == refused.value.code == "failed"
+        assert "BrokenProcessPool" in refused.value.message
+        assert failed == 2
+
+
+# ----------------------------------------------------------------------
 # Job lifecycle: status, watch, cancel, deadlines
 # ----------------------------------------------------------------------
 class TestJobLifecycle:
@@ -300,7 +353,9 @@ class TestWireErrors:
                 )
         assert response["error"]["code"] == "bad-request"
 
-    def test_bad_deadline_rejected(self):
+    # JSON true decodes to a bool, which Python counts as the int 1.
+    @pytest.mark.parametrize("deadline", [-1, True])
+    def test_bad_deadline_rejected(self, deadline):
         with ServiceThread() as server:
             with ServiceClient(port=server.port) as client:
                 from repro.service.protocol import config_to_wire
@@ -310,7 +365,7 @@ class TestWireErrors:
                     json.dumps({
                         "v": PROTOCOL_VERSION, "verb": "submit",
                         "config": config_to_wire(_config()),
-                        "wait": True, "deadline_s": -1,
+                        "wait": True, "deadline_s": deadline,
                     }).encode() + b"\n",
                 )
         assert response["error"]["code"] == "bad-request"
@@ -362,6 +417,32 @@ class TestGracefulShutdown:
             with ServiceClient(port=server.port) as client:
                 client.shutdown()
             server.stop()  # second drain must be a no-op, not a hang
+
+    @pytest.mark.parametrize("tier", [ExperimentService, FleetRouter])
+    def test_drain_closes_its_own_connections(self, tier):
+        # From Python 3.12.1 asyncio.Server.wait_closed() waits for every
+        # open connection, so a drain must close idle ones itself -- and
+        # must not wait for the one that asked it to drain.
+        async def roundtrip(reader, writer, verb):
+            writer.write(encode_message(request(verb, req_id=verb)))
+            await writer.drain()
+            return json.loads(await asyncio.wait_for(reader.readline(), 5))
+
+        async def scenario():
+            served = tier()
+            await served.start()
+            idle = await asyncio.open_connection("127.0.0.1", served.port)
+            asker = await asyncio.open_connection("127.0.0.1", served.port)
+            try:
+                assert (await roundtrip(*idle, "heartbeat"))["alive"] is True
+                assert (await roundtrip(*asker, "shutdown"))["status"] == "closed"
+                assert await asyncio.wait_for(idle[0].read(), 5) == b""
+                await asyncio.wait_for(served.wait_closed(), 5)
+            finally:
+                idle[1].close()
+                asker[1].close()
+
+        asyncio.run(scenario())
 
 
 # ----------------------------------------------------------------------
