@@ -247,9 +247,7 @@ class IntrusionSource:
                 f"intr-{spec.name}-{next(_uid)}", irql=level
             )
             self._vector = kernel.pic.vector(self._vector_name)
-            # Fused assert+delivery hook (see Kernel._assert_from_source):
-            # two call frames fewer per fire than pic.assert_vector.
-            self._assert_vector = kernel._assert_from_source
+            self._assert_vector = kernel.pic.assert_vector
             # One reusable compiled body: the cost callable reads the
             # duration sampled at fire time, exactly when the generator
             # body used to read it (its first instruction).  Connected as
@@ -294,7 +292,8 @@ class IntrusionSource:
         duration = self.spec.duration
         rate = self.spec.rate_hz
         # expovariate(rate) inlined (same expression as random.py, so the
-        # produced floats and the draw count are bit-identical).
+        # produced floats and the draw count are bit-identical).  Kept
+        # with both sources' repost_in/s_to_cycles copies: 1,898 / 630 calls.
         self._pairs = pairs = [
             (sample_fast(duration), -_log(1.0 - rand()) / rate)
             for _ in range(self.PREDRAW_BLOCK)
@@ -316,7 +315,7 @@ class IntrusionSource:
         kind = spec.kind
         if kind is IntrusionKind.CLI or kind is IntrusionKind.ISR:
             self._duration_ms = duration_ms
-            self._assert_vector(self._vector)
+            self._assert_vector(self._vector, self._engine.now)
         elif kind is IntrusionKind.DPC:
             pool = self._burn_pool
             dpc = pool.pop() if pool else self._new_burn_dpc()
@@ -327,7 +326,8 @@ class IntrusionSource:
         # Engine.repost_in + Clock.s_to_cycles, inlined (one per arrival;
         # the cycles expression must stay exactly `int(round(s * hz))` for
         # parity with the out-of-line helpers).  The entry was just popped
-        # by the run loop, so rewriting it in place is safe.
+        # by the run loop, so rewriting it in place is safe.  Kept: see
+        # _refill_block.
         engine = self._engine
         seq = engine._seq + 1
         engine._seq = seq
@@ -375,23 +375,8 @@ class IntrusionSource:
         return dpc
 
 
-def _burn(cycles: int, label: Tuple[str, str]):
-    yield Run(cycles, label=label)
-
-
 def _pool_placeholder_routine(kernel: Kernel, dpc: Dpc):  # pragma: no cover
     raise RuntimeError("pooled burn DPC queued before its body was installed")
-
-
-def _make_burn_dpc(cycles: int, label: Tuple[str, str], name: str, module: str) -> Dpc:
-    """A one-shot DPC that burns ``cycles`` (segments-compiled ``_burn``)."""
-    segs = Segments((Segment(cycles, label=label),))
-
-    @segments_body
-    def _burn_routine(kernel: Kernel, dpc: Dpc):
-        return segs
-
-    return Dpc(routine=_burn_routine, importance=DpcImportance.MEDIUM, name=name, module=module)
 
 
 class DeviceActivitySource:
@@ -418,11 +403,10 @@ class DeviceActivitySource:
         self._hz = kernel.clock.hz
         device = kernel.machine.device(spec.device)
         self.device = device
-        # Fused fire path: bump the device's own counter here and assert
-        # through Kernel._assert_from_source, skipping the raise_irq and
-        # pic.assert_vector frames (state updates are identical).
+        # Fire path: bump the device's own counter here and assert the
+        # cached vector, skipping the raise_irq frame (same state updates).
         self._device_vector = device.vector
-        self._assert_vector = kernel._assert_from_source
+        self._assert_vector = kernel.pic.assert_vector
         self._dpc = Dpc(
             routine=self._dpc_routine,
             importance=DpcImportance.MEDIUM,
@@ -466,11 +450,12 @@ class DeviceActivitySource:
         self.fired += 1
         device = self.device
         device.interrupts_raised += 1
-        self._assert_vector(self._device_vector)
+        engine = self._engine
+        self._assert_vector(self._device_vector, engine.now)
         # expovariate(rate), Engine.repost_in and Clock.s_to_cycles all
         # inlined -- the float expressions are bit-identical to the
-        # out-of-line forms, so arrival streams are unchanged.
-        engine = self._engine
+        # out-of-line forms, so arrival streams are unchanged.  Kept: see
+        # IntrusionSource._refill_block.
         seq = engine._seq + 1
         engine._seq = seq
         entry = self._fire_entry

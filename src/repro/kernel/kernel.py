@@ -14,6 +14,13 @@ Driver/kernel code is a generator yielding :class:`~repro.kernel.requests.Run`
 and :class:`~repro.kernel.requests.Wait`; all other services are direct
 method calls on :class:`Kernel` (they take zero simulated time, which is
 sound because simulated time only advances between yields).
+
+Hand-inlined copies of helpers are kept only where folding them costs
+calls on the call-budget cells (benchmarks/call_budget.json).  A comment
+"Kept: A / B calls" gives the rise in calls per simulated second on
+win98/games / nt4/idle if the copy were folded; "Kept: A > B calls" is a
+budget row that folding would push past its limit.  docs/ARCHITECTURE.md,
+"Kept hand-inlined copies", has the table.
 """
 
 from __future__ import annotations
@@ -220,7 +227,6 @@ class Kernel:
         "_quantum_cycles",
         "_clock_isr_cost",
         "_clock_run",
-        "_ms_to_cycles",
         "_clock_hz",
         "stats",
         "_frame_pool",
@@ -232,9 +238,6 @@ class Kernel:
         "ready",
         "current_thread",
         "threads",
-        "_isr_factories",
-        "_isr_compiled",
-        "_isr_fn_names",
         "_isr_info",
         "_timers",
         "_pit_hooks",
@@ -271,7 +274,6 @@ class Kernel:
         # One immutable Run yielded by every clock tick (frozen dataclass,
         # so sharing it across ticks is safe and skips a per-tick __init__).
         self._clock_run = Run(self.costs.clock_isr, label=("HAL", "_clock_isr"))
-        self._ms_to_cycles = self.clock.ms_to_cycles  # hot in _advance_segments
         self._clock_hz = self.clock.hz  # inlined ms->cycles in _advance_segments
         self.stats = KernelStats()
         #: Free-list of finished ISR/DPC frames (thread frames live as long
@@ -292,13 +294,11 @@ class Kernel:
         self.current_thread: Optional[KThread] = None
         self.threads: List[KThread] = []
 
-        self._isr_factories: Dict[str, IsrFactory] = {}
-        #: vector name -> factory is segments-compiled (see requests.segments_body);
-        #: cached at connect time so _deliver avoids a per-delivery getattr.
-        self._isr_compiled: Dict[str, bool] = {}
-        self._isr_fn_names: Dict[str, str] = {}  # vector name -> "_<name>_isr"
-        #: vector name -> (factory, compiled, fn_name, ("HAL", fn_name)):
-        #: everything _deliver needs in a single dict probe.
+        #: The one ISR table, filled only by connect_interrupt: vector name
+        #: -> (factory, compiled, fn_name, ("HAL", fn_name), const_segs,
+        #: deliver_cycles), everything _deliver needs in a single dict probe.
+        #: "compiled" (see requests.segments_body) is resolved at connect
+        #: time so _deliver avoids a per-delivery getattr.
         self._isr_info: Dict[str, tuple] = {}
         self._timers: List[KTimer] = []
         self._pit_hooks: List[Callable[["Kernel", int], None]] = []
@@ -380,19 +380,18 @@ class Kernel:
         start, so RNG draw order is unchanged).
         """
         vector = self.pic.vector(vector_name)  # validates existence
-        if vector_name in self._isr_factories:
+        if vector_name in self._isr_info:
             raise KernelError(f"vector {vector_name!r} already connected")
-        self._isr_factories[vector_name] = factory
         if isinstance(factory, Segments):
-            compiled = True
-            const_segs = factory
+            compiled, const_segs = True, factory
         else:
-            compiled = bool(getattr(factory, "__wdm_segments__", False))
-            const_segs = None
-        self._isr_compiled[vector_name] = compiled
-        fn_name = f"_{vector_name}_isr"
-        self._isr_fn_names[vector_name] = fn_name
-        self._isr_info[vector_name] = (
+            compiled, const_segs = bool(getattr(factory, "__wdm_segments__", False)), None
+        self._isr_info[vector_name] = self._isr_entry(vector, factory, compiled, const_segs)
+
+    def _isr_entry(self, vector: InterruptVector, factory, compiled: bool, const_segs) -> tuple:
+        """One ``_isr_info`` row (see ``__init__``)."""
+        fn_name = f"_{vector.name}_isr"
+        return (
             factory,
             compiled,
             fn_name,
@@ -527,26 +526,8 @@ class Kernel:
         """``KeInsertQueueDpc``: legal from any context, including ISRs."""
         if importance is not None:
             dpc.importance = importance
-        # DpcQueue.insert, inlined (one call saved per enqueue; kept in
-        # lockstep with the out-of-line method, which remains the public
-        # API for direct queue users).
-        if dpc.queued:
+        if not self.dpc_queue.insert(dpc, self.engine.now, context):
             return False
-        dpc.queued = True
-        dpc.enqueued_at = self.engine.now
-        dpc.enqueue_count += 1
-        if context is not None:
-            dpc.context = context
-        queue = self.dpc_queue
-        deque_ = self._dpc_deque
-        if dpc.importance is DpcImportance.HIGH:
-            deque_.appendleft(dpc)
-        else:
-            deque_.append(dpc)
-        queue.total_enqueued += 1
-        depth = len(deque_)
-        if depth > queue.max_depth:
-            queue.max_depth = depth
         dpc.enqueue_clock_assert = self.last_clock_assert
         # From ISR/DPC context the unwind at frame completion starts
         # the drain; a deferred schedule point would fire while the
@@ -680,12 +661,6 @@ class Kernel:
             stack.append(("HAL", "_idle_loop"))
         return stack
 
-    def interrupts_enabled(self) -> bool:
-        frame = self._running_frame()
-        if frame is None:
-            return True
-        return not (frame.run_end is not None and frame.run_end.pending and self._run_cli)
-
     # ==================================================================
     # Interrupt delivery
     # ==================================================================
@@ -698,49 +673,7 @@ class Kernel:
         interrupt can be delivered synchronously, skipping the event.
         """
         if self._in_kernel:
-            if not self._int_poll_pending:
-                self._int_poll_pending = True
-                # Inlined engine.post_at(now, ...): "now" can never be in
-                # the past, so the guard is pure overhead here.
-                engine = self.engine
-                seq = engine._seq + 1
-                engine._seq = seq
-                heappush(
-                    engine._heap, [engine.now, seq, self._deferred_interrupt_poll, (), 0]
-                )
-            return
-        self._in_kernel = True
-        self._poll_interrupts()
-        self._in_kernel = False
-
-    def _assert_from_source(self, vector: InterruptVector) -> None:
-        """``pic.assert_vector`` fused with the delivery hook.
-
-        Steady hot sources (intrusion ISRs, device completions) assert
-        from plain hardware callbacks thousands of times per simulated
-        second; fusing the controller's assert with the kernel's delivery
-        hook saves two call frames per assertion.  Kept in lockstep with
-        :meth:`InterruptController.assert_vector` and
-        :meth:`_interrupt_asserted`; ``_pending_vectors`` is the live
-        alias of the controller's own pending list, so controller-side
-        state stays exact.
-        """
-        vector.assertions += 1
-        if vector.asserted_at is not None:
-            vector.coalesced += 1
-            return
-        engine = self.engine
-        vector.asserted_at = engine.now
-        self._pending_vectors.append(vector)
-        if self._in_kernel:
-            if not self._int_poll_pending:
-                self._int_poll_pending = True
-                seq = engine._seq + 1
-                engine._seq = seq
-                heappush(
-                    engine._heap,
-                    [engine.now, seq, self._deferred_interrupt_poll, (), 0],
-                )
+            self._request_interrupt_poll()
             return
         self._in_kernel = True
         self._poll_interrupts()
@@ -765,6 +698,7 @@ class Kernel:
         IRQL derivation are inlined (one pass) rather than calling
         :meth:`_running_frame` and :meth:`current_irql` separately, and the
         active-Run pending check reads the heap-entry state slot directly.
+        Kept: 2,094 / 596 calls.
         """
         if not self._pending_vectors:
             return False
@@ -806,7 +740,8 @@ class Kernel:
         its IRQL walk -- the only caller -- so the walk is not repeated.
         """
         # acknowledge_vector, inlined: _poll_interrupts only hands over
-        # vectors it found on the pending list.
+        # vectors it found on the pending list.  Kept, with the pooled
+        # frame reset below: 1,552 / 446 calls.
         asserted_at = vector.asserted_at
         vector.asserted_at = None
         self._pending_vectors.remove(vector)
@@ -816,17 +751,9 @@ class Kernel:
         info = self._isr_info.get(name)
         if info is None:
             # Spurious/unconnected interrupt: swallow with a tiny HAL cost.
-            fn_name = self._isr_fn_names.get(name)
-            if fn_name is None:
-                fn_name = self._isr_fn_names[name] = f"_{name}_isr"
-            info = self._isr_info[name] = (
-                _spurious_isr_factory,
-                False,
-                fn_name,
-                ("HAL", fn_name),
-                None,
-                vector.latency_cycles + self._isr_dispatch_cost,
-            )
+            # The row is built per delivery, never stored: a cached row
+            # would make connect_interrupt refuse the vector for good.
+            info = self._isr_entry(vector, _spurious_isr_factory, False, None)
         factory, compiled, fn_name, mf_label, const_segs, deliver_cycles = info
         engine = self.engine
         pool = self._frame_pool
@@ -930,7 +857,7 @@ class Kernel:
         if handle is not None and handle[_RUN_STATE] == _RUN_PENDING:
             engine = self.engine
             frame.run_remaining += handle[_RUN_TIME] - engine.now
-            # handle.cancel(), inlined (hot: once per preemption).
+            # handle.cancel(), inlined (hot: once per preemption).  Kept: 538 / 0 calls.
             handle[_RUN_STATE] = _RUN_CANCELLED
             handle[_RUN_FN] = None
             handle[_RUN_ARGS] = ()
@@ -944,7 +871,8 @@ class Kernel:
         if cycles > 0:
             # _begin_run, inlined (hot: every unwind/switch resumes a
             # frame); run_label is already the resumed segment's label so
-            # it needs no write.  Kept in lockstep with _begin_run.
+            # it needs no write.  In lockstep with _begin_run.  Kept, with
+            # the copies in _advance_segments and _drive: 2,604 > 621 calls.
             self._run_cli = False
             if cycles.__class__ is not int:
                 cycles = int(cycles)
@@ -978,8 +906,8 @@ class Kernel:
             if self._maybe_rotate_quantum(thread):
                 self._in_kernel = False
                 return
-        # _continue_frame, inlined: this callback fires once per completed
-        # run segment and the extra call frame showed up in profiles.
+        # _continue_frame and the tape fast-finish, inlined: this callback
+        # fires once per completed run segment.  Kept: 1,535 > 1,339 calls.
         segs = frame.segs
         if segs is not None:
             # Tape fast-finish: the final segment of a body with no
@@ -1028,12 +956,7 @@ class Kernel:
         except (KernelError, BugCheck):
             raise
         except Exception as exc:
-            self.bugchecked = True
-            raise BugCheck(
-                stop_code=f"KMODE_EXCEPTION_NOT_HANDLED({type(exc).__name__})",
-                context=frame.label,
-                at_cycles=self.engine.now,
-            ) from exc
+            raise self._bugcheck(frame, exc) from exc
         frame.segs = segs
         frame.seg_index = 0
         frame.seg_running = False
@@ -1067,12 +990,12 @@ class Kernel:
                 cycles, sample, dist, rng, cost_fn, cli, label, after = tape[i]
                 if cycles is None:
                     if sample is not None:
-                        # RngStream.sample_ms_fast and clock.ms_to_cycles,
-                        # inlined (one call saved per distribution-cost
-                        # segment).  Kept in lockstep with both: the draw
-                        # sequence, the Kinderman-Monahan loop and the
-                        # `ms * hz / 1000.0` conversion must stay
-                        # expression-identical for bit-for-bit RNG parity.
+                        # RngStream.sample_ms_fast (CPython's lognormvariate
+                        # Kinderman-Monahan loop) and clock.ms_to_cycles,
+                        # inlined: the draw sequence, the loop and the
+                        # `ms * hz / 1000.0` conversion stay expression-
+                        # identical for bit-for-bit RNG parity.  Kept:
+                        # 981 > 609 and 1,060 > 703 calls.
                         if dist.tail_prob > 0.0 and rng.random() < dist.tail_prob:
                             value = dist.tail_scale_ms * (
                                 1.0 + rng._paretovariate(dist.tail_alpha) - 1.0
@@ -1102,7 +1025,7 @@ class Kernel:
                     frame.seg_index = i
                     frame.seg_running = True
                     # _begin_run, inlined (the hottest begin site: one per
-                    # compiled segment).  Kept in lockstep with _begin_run.
+                    # compiled segment), in lockstep.  Kept: 2,604 > 621 calls.
                     frame.run_label = label
                     self._run_cli = cli
                     if cycles.__class__ is not int:
@@ -1131,13 +1054,7 @@ class Kernel:
         except (KernelError, BugCheck):
             raise
         except Exception as exc:
-            # A fault in kernel-mode code does not unwind: bugcheck.
-            self.bugchecked = True
-            raise BugCheck(
-                stop_code=f"KMODE_EXCEPTION_NOT_HANDLED({type(exc).__name__})",
-                context=frame.label,
-                at_cycles=self.engine.now,
-            ) from exc
+            raise self._bugcheck(frame, exc) from exc
         self._frame_finished(frame)
 
     def _drive(self, frame: Frame) -> None:
@@ -1160,19 +1077,13 @@ class Kernel:
             except (KernelError, BugCheck):
                 raise
             except Exception as exc:
-                # A fault in kernel-mode code does not unwind: bugcheck.
-                self.bugchecked = True
-                raise BugCheck(
-                    stop_code=f"KMODE_EXCEPTION_NOT_HANDLED({type(exc).__name__})",
-                    context=frame.label,
-                    at_cycles=self.engine.now,
-                ) from exc
+                raise self._bugcheck(frame, exc) from exc
             if isinstance(request, Run):
                 cycles = request.cycles
                 if cycles <= 0:
                     continue
-                # _begin_run, inlined (one call saved per generator yield).
-                # Kept in lockstep with _begin_run.
+                # _begin_run, inlined (one call saved per generator yield),
+                # in lockstep.  Kept: 2,604 > 621 calls.
                 frame.run_label = request.label
                 cli = request.cli
                 self._run_cli = cli
@@ -1217,17 +1128,6 @@ class Kernel:
             frame.owner = None
             frame.segs = None
             self._frame_pool.append(frame)
-            # _unwind, inlined (hot: once per ISR).
-            if self._pending_vectors and self._poll_interrupts():
-                return
-            isr_stack = self.isr_stack
-            if isr_stack:
-                self._resume_frame(isr_stack[-1])
-                return
-            if self.dpc_frame is not None or self._dpc_deque:
-                if self._maybe_start_dpc_drain():
-                    return
-            self._dispatch()
         elif frame.kind is _FK_DPC:
             self.dpc_frame = None
             self.stats.dpcs_executed += 1
@@ -1235,13 +1135,6 @@ class Kernel:
             frame.owner = None
             frame.segs = None
             self._frame_pool.append(frame)
-            # _unwind, inlined (hot: once per DPC); the ISR stack is
-            # necessarily empty below a draining DPC frame.
-            if self._pending_vectors and self._poll_interrupts():
-                return
-            if self._dpc_deque and self._maybe_start_dpc_drain():
-                return
-            self._dispatch()
         else:
             thread: KThread = frame.owner
             thread.state = ThreadState.TERMINATED
@@ -1250,7 +1143,7 @@ class Kernel:
             if self.current_thread is thread:
                 self.current_thread = None
                 self._cancel_quantum()
-            self._unwind()
+        self._unwind()
 
     def _unwind(self) -> None:
         """After any frame transition: interrupts, then DPCs, then threads."""
@@ -1264,6 +1157,16 @@ class Kernel:
             if self._maybe_start_dpc_drain():
                 return
         self._dispatch()
+
+    def _bugcheck(self, frame: Frame, exc: Exception) -> BugCheck:
+        """A fault in kernel-mode code does not unwind: mark the crash and
+        return the :class:`BugCheck` for the caller to raise ``from exc``."""
+        self.bugchecked = True
+        return BugCheck(
+            stop_code=f"KMODE_EXCEPTION_NOT_HANDLED({type(exc).__name__})",
+            context=frame.label,
+            at_cycles=self.engine.now,
+        )
 
     # ==================================================================
     # DPC drain
@@ -1284,6 +1187,7 @@ class Kernel:
         if not self._dpc_deque:
             return False
         # _dpc_blocked_by_thread, inlined (hot: once per drain attempt).
+        # Kept with the pop and frame reset below: 1,040 / 0 calls.
         cur = self.current_thread
         if (
             cur is not None
@@ -1497,7 +1401,7 @@ class Kernel:
             self._dispatch()
         elif cur.frame.irql >= _DISPATCH_LEVEL:
             pass  # raised-IRQL thread is not preemptible by the scheduler
-        elif self.ready._mask.bit_length() - 1 > cur.priority:
+        elif self.ready._mask.bit_length() - 1 > cur.priority:  # see _dispatch
             self._pause_run(cur.frame)
             self._dispatch()
         self._in_kernel = False
@@ -1508,7 +1412,8 @@ class Kernel:
         if cur is not None and cur.state is not _TS_RUNNING and (
             cur.state is not _TS_READY
         ):
-            # not cur.runnable, inlined (hot: every dispatch).
+            # not cur.runnable, inlined (hot: every dispatch).  Kept with
+            # both highest_priority() copies: 1,328 / 272 calls.
             self.current_thread = None
             cur = None
         if cur is not None and cur.frame.irql >= _DISPATCH_LEVEL:

@@ -78,14 +78,13 @@ class ServiceClient:
     # ------------------------------------------------------------------
     # Wire plumbing
     # ------------------------------------------------------------------
-    def _roundtrip(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+    def _write(self, payload: Dict[str, Any]) -> None:
         line = encode_message(payload)
         try:
             self._file.write(line)
             self._file.flush()
-        except (OSError, ValueError) as exc:  # ValueError: closed by _read_message
+        except (OSError, ValueError) as exc:  # ValueError: file already closed
             raise ServiceUnavailable(f"service connection lost: {exc}") from exc
-        return self._read_message()
 
     def _read_message(self) -> Dict[str, Any]:
         try:
@@ -115,8 +114,8 @@ class ServiceClient:
         return response
 
     def _request(self, verb: str, **fields) -> Dict[str, Any]:
-        payload = request(verb, req_id=f"r{next(self._req_ids)}", **fields)
-        return self._checked(self._roundtrip(payload))
+        self._write(request(verb, req_id=f"r{next(self._req_ids)}", **fields))
+        return self._checked(self._read_message())
 
     # ------------------------------------------------------------------
     # Verbs
@@ -169,9 +168,7 @@ class ServiceClient:
 
     def watch(self, job_id: str) -> Iterator[str]:
         """Stream a job's state transitions until it reaches a terminal one."""
-        payload = request("watch", req_id=f"r{next(self._req_ids)}", job=job_id)
-        self._file.write(encode_message(payload))
-        self._file.flush()
+        self._write(request("watch", req_id=f"r{next(self._req_ids)}", job=job_id))
         while True:
             message = self._read_message()
             event = message.get("event")

@@ -35,6 +35,7 @@ COUNTERS = (
     "cancelled",          # queued jobs cancelled before dispatch
     "deadline_expired",   # waits that hit their per-request deadline
     "failed",             # jobs whose simulation raised
+    "pool_restarts",      # broken worker pools replaced by a fresh one
     "too_large",          # results refused: over the protocol's line cap
     "heartbeats",         # heartbeat probes answered
     # Engine execution counters aggregated across simulated (non-cached)

@@ -37,6 +37,7 @@ import itertools
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Union
@@ -252,15 +253,25 @@ class ExperimentService(NdjsonServer):
             self._running += 1
             self._set_state(job, "running")
             try:
-                future = loop.run_in_executor(
-                    self._executor, _run_cell_serialized, job.config
-                )
+                future = self._run_in_pool(loop, job.config)
             except RuntimeError as exc:
-                # BrokenProcessPool: a pool process died, and the pool
-                # refuses new work.  Fail the job rather than strand it.
+                # Even a fresh pool refused the job: fail it, don't strand it.
                 future = loop.create_future()
                 future.set_exception(exc)
             future.add_done_callback(functools.partial(self._job_done, job))
+
+    def _run_in_pool(self, loop: asyncio.AbstractEventLoop,
+                     config: ExperimentConfig) -> "asyncio.Future[tuple]":
+        """Run one cell on the pool, first replacing a broken pool: one
+        dead process (OOM kill, crash) fails the jobs that pool held and
+        makes it refuse new work."""
+        try:
+            return loop.run_in_executor(self._executor, _run_cell_serialized, config)
+        except BrokenProcessPool:
+            self._executor.shutdown(wait=False)
+            self._executor = ProcessPoolExecutor(max_workers=self.config.max_workers)
+            self.metrics.count("pool_restarts")
+            return loop.run_in_executor(self._executor, _run_cell_serialized, config)
 
     def _job_done(self, job: Job, future: "asyncio.Future[tuple]") -> None:
         """Finish ``job`` from its own completion, then start the next."""

@@ -327,25 +327,6 @@ class Engine:
             self._dead -= 1
         return heap[0][0] if heap else None
 
-    def step(self) -> bool:
-        """Fire the single next event.
-
-        Returns ``False`` when no pending events remain.
-        """
-        heap = self._heap
-        while heap:
-            entry = heappop(heap)
-            fn = entry[2]
-            if fn is None:  # cancelled; discard lazily
-                self._dead -= 1
-                continue
-            self.now = entry[0]
-            entry[4] = 1  # fired
-            self.events_processed += 1
-            fn(*entry[3])
-            return True
-        return False
-
     def run_until(self, time: int, max_events: Optional[int] = None) -> int:
         """Run events until simulated time reaches ``time`` cycles.
 
@@ -373,55 +354,34 @@ class Engine:
         self._running = True
         self._run_target = time
         fired = 0
+        # The fired count never reaches -1, so an unvalved run never trips.
+        valve = -1 if max_events is None else max_events
         heap = self._heap
         pop = heappop
         try:
-            if max_events is None:
-                # Unvalved loop (the normal case): identical to the valved
-                # one below minus the per-event counter compare.
-                while heap:
-                    entry = heap[0]
-                    fn = entry[2]
-                    if fn is None:  # cancelled; discard lazily
-                        pop(heap)
-                        self._dead -= 1
-                        continue
-                    event_time = entry[0]
-                    if event_time > time:
-                        break
+            while heap:
+                entry = heap[0]
+                fn = entry[2]
+                if fn is None:  # cancelled; discard lazily
                     pop(heap)
-                    self.now = event_time
-                    entry[4] = 1  # fired
-                    fired += 1
-                    args = entry[3]
-                    if args:
-                        fn(*args)
-                    else:
-                        fn()
-            else:
-                while heap:
-                    entry = heap[0]
-                    fn = entry[2]
-                    if fn is None:  # cancelled; discard lazily
-                        pop(heap)
-                        self._dead -= 1
-                        continue
-                    event_time = entry[0]
-                    if event_time > time:
-                        break
-                    if fired == max_events:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events} before reaching cycle {time}"
-                        )
-                    pop(heap)
-                    self.now = event_time
-                    entry[4] = 1  # fired
-                    fired += 1
-                    args = entry[3]
-                    if args:
-                        fn(*args)
-                    else:
-                        fn()
+                    self._dead -= 1
+                    continue
+                event_time = entry[0]
+                if event_time > time:
+                    break
+                if fired == valve:
+                    raise SimulationError(
+                        f"exceeded max_events={max_events} before reaching cycle {time}"
+                    )
+                pop(heap)
+                self.now = event_time
+                entry[4] = 1  # fired
+                fired += 1
+                args = entry[3]
+                if args:
+                    fn(*args)
+                else:
+                    fn()
         finally:
             self._running = False
             self._run_target = None

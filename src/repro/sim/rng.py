@@ -19,8 +19,6 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
-from math import exp as _exp, log as _log
-from random import NV_MAGICCONST as _NV_MAGICCONST
 from typing import Optional
 
 
@@ -43,7 +41,7 @@ class RngStream:
 
     # Streams are sampled on every distribution-cost segment; slots keep
     # the bound-method cache loads (``random``, ``_paretovariate``) cheap.
-    __slots__ = ("seed", "name", "_rng", "random", "_lognormvariate", "_paretovariate", "_expovariate")
+    __slots__ = ("seed", "name", "_rng", "random", "_lognormvariate", "_paretovariate")
 
     def __init__(self, seed: int, name: str = "root"):
         self.seed = seed
@@ -57,7 +55,6 @@ class RngStream:
         self.random = rng.random
         self._lognormvariate = rng.lognormvariate
         self._paretovariate = rng.paretovariate
-        self._expovariate = rng.expovariate
 
     def child(self, name: str) -> "RngStream":
         """Create an independent sub-stream (``parent.name/name``)."""
@@ -111,24 +108,14 @@ class RngStream:
         stream's cached bound methods; the draw sequence, the floating-point
         arithmetic (including the historical ``xm * (1.0 + p - 1.0)``
         Pareto form) and the clamp are bit-for-bit those of the original
-        ``sample_ms``, so RNG streams are unchanged.
+        ``sample_ms``, so RNG streams are unchanged.  The body draw is the
+        library's own ``lognormvariate``; ``Kernel._advance_segments``
+        keeps the one expression-identical copy of it.
         """
         if dist.tail_prob > 0.0 and self.random() < dist.tail_prob:
             value = dist.tail_scale_ms * (1.0 + self._paretovariate(dist.tail_alpha) - 1.0)
         else:
-            # Random.lognormvariate == exp(normalvariate(mu, sigma)),
-            # inlined: the Kinderman-Monahan loop below is copied from
-            # CPython's random.py (same constant, same expression order),
-            # so the underlying random() consumption and the produced
-            # float are bit-identical to the library call.
-            rand = self.random
-            while True:
-                u1 = rand()
-                u2 = 1.0 - rand()
-                z = _NV_MAGICCONST * (u1 - 0.5) / u2
-                if z * z / 4.0 <= -_log(u2):
-                    break
-            value = _exp(dist._log_body_median + z * dist.body_sigma)
+            value = self._lognormvariate(dist._log_body_median, dist.body_sigma)
         max_ms = dist.max_ms
         if value > max_ms:
             return max_ms

@@ -228,6 +228,29 @@ class TestInterruptsAndDpcs:
         total = marks["thread_end"] - 0
         assert total >= machine.clock.ms_to_cycles(10.0) + machine.clock.us_to_cycles(50)
 
+    def test_spurious_delivery_then_connect_once(self):
+        # A spurious delivery must not leave a row in the ISR table that
+        # makes the vector impossible to connect afterwards.
+        machine, kernel = make_kernel()
+        kernel.register_intrusion_vector("probe", irql=10)
+        machine.pic.assert_irq("probe", machine.engine.now)
+        machine.run_for_ms(1)
+        assert kernel.stats.per_vector["probe"] == 1
+
+        runs = []
+
+        def isr(k, vector, asserted_at):
+            runs.append(asserted_at)
+            yield Run(10)
+
+        kernel.connect_interrupt("probe", isr)
+        with pytest.raises(KernelError):
+            kernel.connect_interrupt("probe", isr)
+        machine.pic.assert_irq("probe", machine.engine.now)
+        machine.run_for_ms(1)
+        assert len(runs) == 1
+        assert kernel.stats.per_vector["probe"] == 2
+
     def test_cli_run_blocks_interrupt_delivery(self):
         machine, kernel = make_kernel(boot=False)
         machine.pic.register(InterruptVector(name="dev", irql=10, latency_cycles=0))

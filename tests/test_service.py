@@ -32,7 +32,13 @@ from repro.core.campaign import cache_key, run_campaign
 from repro.core.experiment import ExperimentConfig
 from repro.core.export import sample_set_to_json
 from repro.fleet import FleetRouter
-from repro.service import ExperimentService, ServiceClient, ServiceError, ServiceThread
+from repro.service import (
+    ExperimentService,
+    ServiceClient,
+    ServiceError,
+    ServiceThread,
+    ServiceUnavailable,
+)
 from repro.service.protocol import PROTOCOL_VERSION, encode_message, request
 
 #: Short cells keep the module fast; determinism is duration-independent.
@@ -214,6 +220,7 @@ class TestDispatch:
         assert execute["p50_ms"] < execute["max_ms"] / 2
 
     def test_dead_pool_process_fails_jobs_instead_of_stranding_them(self):
+        after = _config("nt4", "idle", seed=5)
         with ServiceThread(max_workers=1) as server:
             with ServiceClient(port=server.port, timeout=30) as client:
                 client.submit(_config("nt4", "idle"))
@@ -223,14 +230,14 @@ class TestDispatch:
                 os.kill(pid, signal.SIGKILL)
                 with pytest.raises(ServiceError) as killed:
                     client.result(job)
-                # The broken pool refuses the next cell at submit time.
-                with pytest.raises(ServiceError) as refused:
-                    client.submit(_config("nt4", "idle", seed=5))
-                failed = client.stats()["counters"]["failed"]
-            server.stop(timeout=30)  # the drain has nothing left to wait on
-        assert killed.value.code == refused.value.code == "failed"
-        assert "BrokenProcessPool" in refused.value.message
-        assert failed == 2
+                # The next cell runs on a fresh pool.
+                text = client.submit(after, as_text=True)
+                counters = client.stats()["counters"]
+            server.stop(timeout=30)
+        assert killed.value.code == "failed"
+        assert text == _serial_bytes(after)
+        assert counters["failed"] == 1
+        assert counters["pool_restarts"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -324,6 +331,13 @@ class TestWireErrors:
         client._file.write(line)
         client._file.flush()
         return json.loads(client._file.readline())
+
+    def test_watch_on_closed_client_raises_unavailable(self):
+        with ServiceThread() as server:
+            client = ServiceClient(port=server.port)
+            client.close()
+            with pytest.raises(ServiceUnavailable):
+                list(client.watch("job-1"))
 
     def test_wrong_version_rejected(self):
         with ServiceThread() as server:

@@ -25,9 +25,9 @@ def _reference_sample_ms(dist: DurationDistribution, rng: random.Random) -> floa
 
 
 class TestSampleFastPathEquivalence:
-    """sample_ms_fast (cached log-median, cached bound methods, inlined
-    Kinderman-Monahan normal loop) must produce the *identical* variate
-    stream to the original library-call implementation."""
+    """sample_ms_fast (cached log-median, cached bound methods) must
+    produce the *identical* variate stream to the original library-call
+    implementation."""
 
     DISTS = [
         DurationDistribution(body_median_ms=0.05, body_sigma=0.8),
