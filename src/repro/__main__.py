@@ -13,7 +13,7 @@ Subcommands mirror the paper's workflow:
 * ``throughput`` -- the section 4.2 Winstone-style control experiment.
 * ``serve``    -- run the experiment service (asyncio job queue, batching,
   backpressure) on a TCP port; ``--register HOST:PORT`` joins a fleet
-  router's hash ring and pushes heartbeats.
+  router's hash ring, and joins again whenever the router hangs up.
 * ``route``    -- run the fleet router/coordinator: shards submits across
   registered workers by cache key (consistent hashing), fails keys over
   when a worker dies, sheds load with retry-after hints.
@@ -182,15 +182,9 @@ def cmd_serve(args) -> int:
 def cmd_route(args) -> int:
     from repro.fleet import RouterConfig, FleetRouter
 
-    workers = tuple(
-        endpoint.strip()
-        for endpoint in (args.workers or "").split(",")
-        if endpoint.strip()
-    )
     router_config = RouterConfig(
         host=args.host,
         port=args.port,
-        workers=workers,
         cache_dir=args.cache_dir,
         heartbeat_interval_s=args.heartbeat_interval,
         heartbeat_timeout_s=args.heartbeat_timeout,
@@ -422,8 +416,9 @@ def main(argv=None) -> int:
                         "format, replayable offline); point every fleet "
                         "worker at one shared directory")
     p.add_argument("--register", default=None, metavar="HOST:PORT",
-                   help="self-register with a fleet router and push "
-                        "heartbeats until drained")
+                   help="self-register with a fleet router, and again "
+                        "whenever it closes the registration connection; "
+                        "the router's probes judge this worker's health")
     p.add_argument("--name", default=None,
                    help="stable worker name on the router's hash ring "
                         "(default: own host:port)")
@@ -436,16 +431,14 @@ def main(argv=None) -> int:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0,
                    help="TCP port (0 picks an ephemeral port)")
-    p.add_argument("--workers", default=None, metavar="HOST:PORT[,HOST:PORT...]",
-                   help="static worker seeds; workers may also register "
-                        "dynamically via serve --register")
     p.add_argument("--cache-dir", default=None,
                    help="the shared result store: any cell any worker "
                         "computed is served without forwarding")
     p.add_argument("--heartbeat-interval", type=float, default=1.0,
-                   help="worker health probe cadence in seconds")
+                   help="seconds between health probes of each worker")
     p.add_argument("--heartbeat-timeout", type=float, default=5.0,
-                   help="silence past this marks a worker down")
+                   help="seconds a probe waits for a worker's reply; "
+                        "consecutive failed probes mark it down")
     p.add_argument("--forward-attempts", type=int, default=4,
                    help="tries per submit across failover successors")
     p.add_argument("--client-rate", type=float, default=200.0,

@@ -138,15 +138,6 @@ class WorstCaseEstimator:
         estimate = self.sorted[-1] * (events / n) ** (1.0 / alpha)
         return min(estimate, self.cap_ms)
 
-    def expected_max_hourly(self) -> float:
-        return self.expected_max(3600.0)
-
-    def expected_max_daily(self, pattern: UsagePattern) -> float:
-        return self.expected_max(pattern.day_seconds)
-
-    def expected_max_weekly(self, pattern: UsagePattern) -> float:
-        return self.expected_max(pattern.week_seconds)
-
 
 @dataclass(frozen=True)
 class WorstCaseRow:

@@ -2,11 +2,11 @@
 
 One router shards experiment submissions across N worker servers by
 campaign cache key (consistent hashing with virtual nodes, so fleet-wide
-coalescing keeps collapsing duplicates), tracks worker health with
-heartbeats and probes, fails keys over to their deterministic ring
-successors when a worker dies, sheds load through per-client quotas and
-priority lanes, and serves any already-computed cell straight from the
-shared result store.
+coalescing keeps collapsing duplicates), admits workers through
+``register`` and judges their health by probing them, fails keys over
+to their deterministic ring successors when a worker dies, sheds load
+through per-client quotas and priority lanes, and serves any
+already-computed cell straight from the shared result store.
 
 A result served through the router is byte-identical to a serial
 ``run_campaign`` of the same config -- the same invariant every layer

@@ -34,6 +34,10 @@ LANES = ("interactive", "batch")
 #: evicted (and start fresh with a full burst if they return).
 MAX_TRACKED_CLIENTS = 4096
 
+#: Retry hint on a lane-full shed: a lane frees a slot as soon as any
+#: one of its in-flight requests finishes.
+LANE_RETRY_AFTER_S = 0.25
+
 
 class TokenBucket:
     """A standard token bucket: ``rate`` tokens/s, capacity ``burst``."""
@@ -89,7 +93,6 @@ class AdmissionController:
         client_burst: float = 400.0,
         interactive_inflight: int = 64,
         batch_inflight: int = 16,
-        lane_retry_after_s: float = 0.25,
         clock: Callable[[], float] = time.monotonic,
     ):
         if client_rate <= 0 or client_burst <= 0:
@@ -102,7 +105,6 @@ class AdmissionController:
             "interactive": interactive_inflight,
             "batch": batch_inflight,
         }
-        self.lane_retry_after_s = lane_retry_after_s
         self.clock = clock
         self._inflight: Dict[str, int] = {lane: 0 for lane in LANES}
         self._buckets: "OrderedDict[str, TokenBucket]" = OrderedDict()
@@ -131,7 +133,7 @@ class AdmissionController:
             self.shed_lane += 1
             return AdmissionDecision(
                 False, lane, reason="lane-full",
-                retry_after_s=self.lane_retry_after_s,
+                retry_after_s=LANE_RETRY_AFTER_S,
             )
         bucket = self._bucket(client_id, now)
         if not bucket.take(now):
@@ -146,9 +148,6 @@ class AdmissionController:
     def release(self, lane: str) -> None:
         """Return an admitted request's lane slot."""
         self._inflight[lane] -= 1
-
-    def inflight(self, lane: str) -> int:
-        return self._inflight[lane]
 
     def gauges(self) -> dict:
         return {

@@ -35,7 +35,13 @@ from repro.service.protocol import (
 )
 
 #: Error codes worth retrying: shed load and routing gaps are transient.
+#: ``unavailable`` covers transport failures too (``ServiceUnavailable``).
 _RETRYABLE_CODES = ("overloaded", "unavailable")
+
+#: Backoff when a retryable error carries no ``retry_after_s`` hint:
+#: ``_BACKOFF_S`` doubling per attempt, capped at ``_BACKOFF_MAX_S``.
+_BACKOFF_S = 0.05
+_BACKOFF_MAX_S = 1.0
 
 
 class AsyncServiceClient:
@@ -47,8 +53,6 @@ class AsyncServiceClient:
         port: int = 0,
         pool_size: int = 8,
         retries: int = 3,
-        backoff_s: float = 0.05,
-        backoff_max_s: float = 1.0,
         lane: Optional[str] = None,
         client_id: Optional[str] = None,
     ):
@@ -58,8 +62,6 @@ class AsyncServiceClient:
         self.port = port
         self.pool_size = pool_size
         self.retries = retries
-        self.backoff_s = backoff_s
-        self.backoff_max_s = backoff_max_s
         self.lane = lane
         self.client_id = client_id
         self._idle: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
@@ -145,25 +147,19 @@ class AsyncServiceClient:
     async def _request_with_retry(self, verb: str, **fields) -> Dict[str, Any]:
         """Bounded retry honoring ``retry_after_s`` hints.
 
-        Attempt ``retries + 1`` times; shed/unavailable responses sleep
-        the server's hint, transport failures sleep the local backoff
-        (doubling per attempt, capped).
+        Attempt ``retries + 1`` times; shed/unavailable responses and
+        transport failures sleep the server's hint, or the local backoff
+        (doubling per attempt, capped) when there is none.
         """
         attempt = 0
         while True:
             try:
                 return await self.request(verb, **fields)
-            except ServiceUnavailable as exc:
-                if attempt >= self.retries:
-                    raise
-                delay = exc.retry_after_s or min(
-                    self.backoff_s * (2 ** attempt), self.backoff_max_s
-                )
             except ServiceError as exc:
                 if exc.code not in _RETRYABLE_CODES or attempt >= self.retries:
                     raise
                 delay = exc.retry_after_s or min(
-                    self.backoff_s * (2 ** attempt), self.backoff_max_s
+                    _BACKOFF_S * (2 ** attempt), _BACKOFF_MAX_S
                 )
             attempt += 1
             await asyncio.sleep(delay)

@@ -2,15 +2,15 @@
 
 The router never guesses about worker health -- it tracks it here:
 
-* **Registration.**  Workers self-announce (``register`` verb, sent by
-  ``python -m repro serve --register``) or are seeded statically from
-  the router's ``--workers`` flag.  Either way the worker joins the
-  consistent-hash ring and starts up.
-* **Heartbeats, both directions.**  Workers push ``heartbeat`` lines on
-  their registration connection; the router's prober also dials each
-  worker's ``heartbeat`` verb on an interval.  Either refreshes
-  ``last_heartbeat``; a worker silent past the timeout, or whose probes
-  fail consecutively, is **marked down**.
+* **Registration.**  The only way in: a worker self-announces with the
+  ``register`` verb (sent by ``python -m repro serve --register``), joins
+  the consistent-hash ring and starts up.  Registering again -- a
+  restarted worker, or any worker after a router restart -- refreshes
+  the endpoint and marks the worker up.
+* **Probes.**  The router's prober (:mod:`repro.fleet.router`, which owns
+  the whole liveness policy) pings each worker's ``heartbeat`` verb on an
+  interval.  A good reply refreshes ``last_heartbeat``; consecutive
+  failures, or a forward that dies mid-flight, **mark the worker down**.
 * **Mark-down is not removal.**  A down worker keeps its ring positions,
   so its keys fail over to their deterministic ring successors (same
   successor on every retry) and *return* the moment the worker is marked
@@ -20,9 +20,9 @@ The router never guesses about worker health -- it tracks it here:
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
-from repro.fleet.ring import DEFAULT_VNODES, HashRing
+from repro.fleet.ring import HashRing
 
 
 class WorkerState:
@@ -44,10 +44,6 @@ class WorkerState:
         self.forwards = 0          # submits forwarded to this worker
         self.forward_failures = 0  # forwards that died mid-flight
 
-    @property
-    def endpoint(self) -> Tuple[str, int]:
-        return (self.host, self.port)
-
     def snapshot(self, now: float) -> dict:
         return {
             "name": self.name,
@@ -64,12 +60,8 @@ class WorkerState:
 class WorkerRegistry:
     """Ring membership plus health state for every known worker."""
 
-    def __init__(
-        self,
-        vnodes: int = DEFAULT_VNODES,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        self.ring = HashRing(vnodes)
+    def __init__(self, clock: Callable[[], float] = time.monotonic):
+        self.ring = HashRing()
         self.clock = clock
         self._workers: Dict[str, WorkerState] = {}
 
@@ -97,11 +89,6 @@ class WorkerRegistry:
             worker.state = "up"
         return worker
 
-    def deregister(self, name: str) -> None:
-        """Remove a worker for good (ring positions included)."""
-        self._workers.pop(name, None)
-        self.ring.remove(name)
-
     def get(self, name: str) -> Optional[WorkerState]:
         return self._workers.get(name)
 
@@ -114,14 +101,11 @@ class WorkerRegistry:
     # ------------------------------------------------------------------
     # Health
     # ------------------------------------------------------------------
-    def heartbeat(self, name: str) -> Optional[WorkerState]:
-        """Refresh liveness for ``name``; ``None`` if unknown (re-register)."""
-        worker = self._workers.get(name)
-        if worker is None:
-            return None
+    def heartbeat(self, name: str) -> None:
+        """Record a good probe of ``name`` (workers are never removed)."""
+        worker = self._workers[name]
         worker.last_heartbeat = self.clock()
         worker.consecutive_probe_failures = 0
-        return worker
 
     def mark_down(self, name: str) -> bool:
         """Transition ``name`` up -> down; returns True if it transitioned."""
@@ -140,18 +124,6 @@ class WorkerRegistry:
         worker.consecutive_probe_failures = 0
         worker.last_heartbeat = self.clock()
         return True
-
-    def expire(self, timeout_s: float) -> List[str]:
-        """Mark down every up worker silent for longer than ``timeout_s``."""
-        now = self.clock()
-        expired = [
-            worker.name
-            for worker in self._workers.values()
-            if worker.state == "up" and now - worker.last_heartbeat > timeout_s
-        ]
-        for name in expired:
-            self.mark_down(name)
-        return expired
 
     # ------------------------------------------------------------------
     # Routing

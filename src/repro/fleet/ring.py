@@ -57,15 +57,6 @@ class HashRing:
         #: Positions only, kept parallel to ``_points`` for bisecting.
         self._positions: List[int] = []
 
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def __contains__(self, node: str) -> bool:
-        return node in self._nodes
-
-    def nodes(self) -> frozenset:
-        return frozenset(self._nodes)
-
     def add(self, node: str) -> None:
         """Insert ``node``'s virtual points (idempotent)."""
         if node in self._nodes:
@@ -78,9 +69,9 @@ class HashRing:
     def remove(self, node: str) -> None:
         """Drop ``node`` entirely (idempotent).
 
-        Only used when a worker *deregisters* for good; transient failures
-        should mark the worker down in the registry instead, which keeps
-        its ring positions so recovery restores the original sharding.
+        The registry never calls this: a failed worker is marked down
+        instead, which keeps its ring positions so recovery restores the
+        original sharding.
         """
         if node not in self._nodes:
             return

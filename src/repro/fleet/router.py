@@ -11,13 +11,18 @@ related work says must stay separate from measurement:
   campaign :func:`~repro.core.campaign.cache_key` and routed through the
   consistent-hash ring (:mod:`repro.fleet.ring`), so duplicate
   submissions of one cell land on one worker and coalesce fleet-wide.
-* **Health + failover.**  A registry (:mod:`repro.fleet.registry`)
-  tracks worker heartbeats (push and probe); forwards that die mid-flight
-  mark the worker down and retry on the key's deterministic ring
-  successor with exponential backoff + jitter, bounded by
-  ``forward_attempts``.  Because every cell is deterministic and results
-  are content-addressed, a re-run on the failover worker returns
-  byte-identical output -- failover is invisible to the client.
+* **Membership + health.**  Workers join the registry
+  (:mod:`repro.fleet.registry`) only through ``register``.  Their health
+  is judged here alone: the router probes each worker's ``heartbeat``
+  every ``heartbeat_interval_s``, waits ``heartbeat_timeout_s`` for the
+  reply, and marks a worker down after ``_PROBE_FAILURE_THRESHOLD``
+  failed probes in a row (and up again on the next good one).
+* **Failover.**  Forwards that die mid-flight mark the worker down and
+  retry on the key's deterministic ring successor with exponential
+  backoff + jitter, bounded by ``forward_attempts``.  Because every cell
+  is deterministic and results are content-addressed, a re-run on the
+  failover worker returns byte-identical output -- failover is invisible
+  to the client.
 * **Tiered admission.**  Per-client token buckets and priority lanes
   (:mod:`repro.fleet.admission`); shed requests get an explicit
   ``overloaded`` + ``retry_after_s``, never an unbounded queue.
@@ -58,7 +63,6 @@ from repro.service.protocol import (
 from repro.service.store import ResultStore
 from repro.fleet.admission import LANES, AdmissionController
 from repro.fleet.registry import WorkerRegistry
-from repro.fleet.ring import DEFAULT_VNODES
 
 #: Hint returned when no live worker could take a key: long enough for a
 #: worker restart + registration round to land.
@@ -67,6 +71,11 @@ _UNAVAILABLE_RETRY_AFTER_S = 1.0
 #: Consecutive probe failures before a worker is marked down.
 _PROBE_FAILURE_THRESHOLD = 2
 
+#: Exponential backoff (jittered) between forward retries: the first
+#: retry waits about ``_BACKOFF_BASE_S``, no retry more than ``_BACKOFF_MAX_S``.
+_BACKOFF_BASE_S = 0.05
+_BACKOFF_MAX_S = 1.0
+
 
 @dataclass
 class RouterConfig:
@@ -74,35 +83,25 @@ class RouterConfig:
 
     Attributes:
         host / port: Bind address (``0`` picks an ephemeral port).
-        workers: Static ``"host:port"`` seeds registered at startup
-            (named by their endpoint); dynamic registration via the
-            ``register`` verb works either way.
         cache_dir: The *shared* result store -- point it at the same
             directory the workers persist to and the router serves
             already-computed cells without forwarding.
         hot_capacity: Router-local LRU of serialized cells.
-        vnodes: Virtual nodes per worker on the hash ring.
-        heartbeat_interval_s: Prober cadence (and the interval workers
-            are told to push heartbeats at).
-        heartbeat_timeout_s: Silence past this marks a worker down.
+        heartbeat_interval_s: Cadence of the health probes.
+        heartbeat_timeout_s: How long one probe waits for the worker's
+            reply before it counts as failed.
         forward_attempts: Total tries for one submit across failovers.
-        backoff_base_s / backoff_max_s: Exponential backoff (jittered)
-            between forward retries.
         client_rate / client_burst: Per-client token-bucket quota.
         interactive_inflight / batch_inflight: Per-lane in-flight bounds.
     """
 
     host: str = "127.0.0.1"
     port: int = 0
-    workers: Tuple[str, ...] = ()
     cache_dir: Optional[Union[str, Path]] = None
     hot_capacity: int = 64
-    vnodes: int = DEFAULT_VNODES
     heartbeat_interval_s: float = 1.0
     heartbeat_timeout_s: float = 5.0
     forward_attempts: int = 4
-    backoff_base_s: float = 0.05
-    backoff_max_s: float = 1.0
     client_rate: float = 200.0
     client_burst: float = 400.0
     interactive_inflight: int = 64
@@ -128,12 +127,11 @@ class FleetRouter(NdjsonServer):
             "cancel": self._verb_proxy_job,
             "watch": self._verb_watch,
             "register": self._verb_register,
-            "heartbeat": self._verb_heartbeat,
             "stats": self._verb_stats,
             "fleet_stats": self._verb_fleet_stats,
         })
         self.config = config or RouterConfig()
-        self.registry = WorkerRegistry(vnodes=self.config.vnodes)
+        self.registry = WorkerRegistry()
         self.admission = AdmissionController(
             client_rate=self.config.client_rate,
             client_burst=self.config.client_burst,
@@ -156,11 +154,7 @@ class FleetRouter(NdjsonServer):
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Seed the static workers, bind the socket, start probing."""
-        for endpoint in self.config.workers:
-            host, _, port = endpoint.rpartition(":")
-            self.registry.register(endpoint, host or "127.0.0.1", int(port))
-            self.metrics.count("registrations")
+        """Bind the socket, start probing."""
         await super().start()
         self._prober = asyncio.create_task(self._probe_loop())
 
@@ -169,7 +163,9 @@ class FleetRouter(NdjsonServer):
 
         Workers are *not* shut down -- they drain independently (their
         own ``shutdown`` verb or SIGTERM); the router only owns routing
-        state.  Returns the number of forwards drained.
+        state.  Closing their idle registration connections, which the
+        base class does after this, is what tells registered workers to
+        register again.  Returns the number of forwards drained.
         """
         drained = self._active
         await self._quiet.wait()
@@ -271,16 +267,13 @@ class FleetRouter(NdjsonServer):
                     self.registry.heartbeat(worker.name)
                     if worker.state == "down":
                         self._mark_up(worker.name)
-            # Push heartbeats count too: a worker that registered but is
-            # unreachable for probes *and* silent past the timeout goes
-            # down even before the probe-failure threshold trips.
-            for name in self.registry.expire(self.config.heartbeat_timeout_s):
-                self.metrics.count("workers_marked_down")
 
     # ------------------------------------------------------------------
-    # Verbs: registration + liveness
+    # Verbs: registration
     # ------------------------------------------------------------------
     async def _verb_register(self, msg, req_id, writer) -> None:
+        """Join or rejoin the ring.  The reply is the last line written on
+        this connection: the worker registers again once it closes."""
         name = msg.get("name")
         host = msg.get("host")
         port = msg.get("port")
@@ -295,31 +288,12 @@ class FleetRouter(NdjsonServer):
             ))
             return
         self.registry.register(name, host, port)
+        # Sockets pooled to the previous process are dead even when the
+        # endpoint is unchanged (a restart on a fixed port); only idle
+        # ones sit in the pool, so a forward in flight is untouched.
+        self._drop_pool(name)
         self.metrics.count("registrations")
-        await self._send(writer, ok_response(
-            req_id, registered=name,
-            heartbeat_interval_s=self.config.heartbeat_interval_s,
-        ))
-
-    async def _verb_heartbeat(self, msg, req_id, writer) -> None:
-        self.metrics.count("heartbeats")
-        name = msg.get("name")
-        if name is None:
-            # A plain ping (e.g. another router probing us): answer alive.
-            await self._send(writer, ok_response(
-                req_id, alive=True, uptime_s=round(self.metrics.uptime_s(), 3)
-            ))
-            return
-        worker = self.registry.heartbeat(name)
-        if worker is None:
-            await self._send(writer, error_response(
-                req_id, "not-found",
-                f"unknown worker {name!r}; send register first",
-            ))
-            return
-        if worker.state == "down":
-            self._mark_up(name)
-        await self._send(writer, ok_response(req_id, alive=True, worker=name))
+        await self._send(writer, ok_response(req_id, registered=name))
 
     async def _verb_watch(self, msg, req_id, writer) -> None:
         await self._send(writer, error_response(
@@ -426,8 +400,7 @@ class FleetRouter(NdjsonServer):
             if attempt:
                 self.metrics.count("forward_retries")
                 delay = min(
-                    self.config.backoff_base_s * (2 ** (attempt - 1)),
-                    self.config.backoff_max_s,
+                    _BACKOFF_BASE_S * (2 ** (attempt - 1)), _BACKOFF_MAX_S,
                 ) * (0.5 + random.random() / 2)
                 await asyncio.sleep(delay)
             t0 = time.monotonic()

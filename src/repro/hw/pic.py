@@ -88,9 +88,6 @@ class InterruptController:
     def vector(self, name: str) -> InterruptVector:
         return self._vectors[name]
 
-    def vectors(self) -> List[InterruptVector]:
-        return list(self._vectors.values())
-
     # ------------------------------------------------------------------
     # Hardware-side operations
     # ------------------------------------------------------------------

@@ -46,8 +46,3 @@ def validate(level: int) -> int:
     if not PASSIVE_LEVEL <= level <= HIGH_LEVEL:
         raise ValueError(f"IRQL {level} outside [{PASSIVE_LEVEL}, {HIGH_LEVEL}]")
     return level
-
-
-def is_dirql(level: int) -> bool:
-    """Whether ``level`` is a device interrupt level."""
-    return DIRQL_MIN <= level <= DIRQL_MAX

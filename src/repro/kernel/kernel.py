@@ -497,16 +497,10 @@ class Kernel:
         if thread.priority > thread.base_priority:
             thread.priority -= 1
 
-    def create_event(self, synchronization: bool = True, name: str = "") -> KEvent:
-        return KEvent(synchronization=synchronization, name=name)
-
     def set_event(self, event: KEvent) -> None:
         """``KeSetEvent``: signal an event and release waiters."""
         event.set()
         self._release_waiters(event)
-
-    def clear_event(self, event: KEvent) -> None:
-        event.clear()
 
     def release_semaphore(self, sem: KSemaphore, adjustment: int = 1) -> None:
         sem.release(adjustment)
@@ -536,9 +530,6 @@ class Kernel:
         if not self.isr_stack and self.dpc_frame is None:
             self._request_schedule_point()
         return True
-
-    def create_timer(self, name: str = "") -> KTimer:
-        return KTimer(name=name)
 
     def set_timer(
         self,

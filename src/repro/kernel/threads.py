@@ -160,12 +160,6 @@ class ReadyQueues:
             self._mask &= ~(1 << level)
         return thread
 
-    def peek_highest(self) -> Optional[KThread]:
-        level = self.highest_priority()
-        if level < 0:
-            return None
-        return self._queues[level][0]
-
     def has_ready_at(self, priority: int) -> bool:
         """Whether any thread at exactly ``priority`` is ready."""
         return bool(self._mask & (1 << priority))

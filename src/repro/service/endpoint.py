@@ -13,7 +13,9 @@ and :class:`~repro.fleet.router.FleetRouter` have in common:
 * the drain: an idempotent :meth:`~NdjsonServer.shutdown` that awaits the
   subclass's ``_drain()``, then closes the listener and every connection
   idle in ``readline()`` itself, and the ``shutdown`` verb, which answers
-  ``closed`` to whoever sent it.
+  ``closed`` to whoever sent it;
+* the ``heartbeat`` verb, a plain ping that the router's health probes
+  send to workers and that either tier answers the same way.
 
 Nothing here awaits ``asyncio.Server.wait_closed()``.  From Python 3.12.1
 it waits for every open connection, the one that sent ``shutdown``
@@ -46,14 +48,15 @@ class NdjsonServer:
 
     A subclass passes its verb table to ``__init__``, sets ``config``
     (read for ``host`` and ``port``) and ``metrics`` (a
-    :class:`~repro.service.metrics.ServiceMetrics` with a ``too_large``
-    counter), rejects new work while ``_draining`` is set, and implements
-    :meth:`_drain`.
+    :class:`~repro.service.metrics.ServiceMetrics` with ``too_large`` and
+    ``heartbeats`` counters), rejects new work while ``_draining`` is set,
+    and implements :meth:`_drain`.
     """
 
     def __init__(self, verbs: Dict[str, Handler]):
         self.port: Optional[int] = None
-        self._verbs = dict(verbs, shutdown=self._verb_shutdown)
+        self._verbs = dict(verbs, shutdown=self._verb_shutdown,
+                           heartbeat=self._verb_heartbeat)
         self._draining = False
         self._closed = asyncio.Event()
         self._server: Optional[asyncio.base_events.Server] = None
@@ -162,3 +165,11 @@ class NdjsonServer:
     async def _verb_shutdown(self, msg, req_id, writer) -> None:
         drained = await self.shutdown()
         await self._send(writer, ok_response(req_id, status="closed", drained=drained))
+
+    async def _verb_heartbeat(self, msg, req_id, writer) -> None:
+        """Liveness: cheap and never blocks."""
+        self.metrics.count("heartbeats")
+        await self._send(writer, ok_response(
+            req_id, alive=True, uptime_s=round(self.metrics.uptime_s(), 3),
+            draining=self._draining,
+        ))

@@ -37,7 +37,7 @@ COUNTERS = (
     "failed",             # jobs whose simulation raised
     "pool_restarts",      # broken worker pools replaced by a fresh one
     "too_large",          # results refused: over the protocol's line cap
-    "heartbeats",         # heartbeat probes answered
+    "heartbeats",         # heartbeat pings (router probes) answered
     # Engine execution counters aggregated across simulated (non-cached)
     # runs -- virtual-time fast-forward and compiled-tape observability
     # (see docs/ARCHITECTURE.md "Virtual-time fast-forward").
@@ -66,7 +66,7 @@ ROUTER_COUNTERS = (
     "workers_marked_down",  # health transitions up -> down
     "workers_marked_up",    # health transitions down -> up
     "registrations",      # register verb accepted (new or re-register)
-    "heartbeats",         # heartbeat verb answered (worker push or probe)
+    "heartbeats",         # heartbeat pings answered
 )
 
 #: Router-tier stages: admission+ring lookup vs. worker round-trip vs.

@@ -31,11 +31,13 @@ Route-tier verbs (the fleet layer, :mod:`repro.fleet`):
 ``register``
     A worker announces itself to a router (``name``, ``host``, ``port``)
     and joins the consistent-hash ring.  Idempotent: re-registering
-    updates the endpoint and marks the worker up.
+    updates the endpoint and marks the worker up.  The router writes
+    nothing after the reply; the worker holds the connection idle and
+    registers again once the router closes it.
 ``heartbeat``
-    Liveness.  With a ``name`` it refreshes that worker's registration at
-    a router; without one it is a plain ping either tier answers cheaply
-    (the router's health prober sends these to workers).
+    A plain liveness ping that either tier answers the same way
+    (``alive``, ``uptime_s``, ``draining``).  The router's health probes
+    send it to workers; workers never send it.
 ``fleet_stats``
     Router-only: per-worker health/forward counters, ring membership and
     admission-lane gauges, alongside the router's own ``stats`` shape.

@@ -66,6 +66,10 @@ MAX_FINISHED_JOBS = 1024
 #: shed clients converge quickly once pressure lifts.
 OVERLOADED_RETRY_AFTER_S = 0.5
 
+#: Pause before a worker registers again after the router closed its
+#: registration connection or could not be reached.
+REGISTER_RETRY_S = 1.0
+
 
 def _run_cell_serialized(config: ExperimentConfig) -> tuple:
     """Worker-side body: one cell as ``repro.sample_set/2`` text, plus counters.
@@ -113,13 +117,13 @@ class ServiceConfig:
             by tests to make queueing behaviour deterministic.
         register_with: ``"host:port"`` of a fleet router to self-register
             with (``python -m repro serve --register``).  The worker
-            announces itself on start and pushes heartbeats until drain;
-            an unreachable router is retried forever, never fatal.
+            announces itself on start and again whenever the router
+            closes the registration connection; an unreachable router is
+            retried forever, never fatal.
         worker_name: Stable name on the router's hash ring; defaults to
             ``"host:port"`` of this worker's own listening socket.
         advertise_host: Host the router should dial back (defaults to
             the bind host -- override when binding ``0.0.0.0``).
-        heartbeat_interval_s: Push-heartbeat cadence while registered.
     """
 
     host: str = "127.0.0.1"
@@ -132,18 +136,12 @@ class ServiceConfig:
     register_with: Optional[str] = None
     worker_name: Optional[str] = None
     advertise_host: Optional[str] = None
-    heartbeat_interval_s: float = 1.0
 
     def __post_init__(self):
         if self.queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {self.queue_limit}")
         if self.max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
-        if self.heartbeat_interval_s <= 0:
-            raise ValueError(
-                f"heartbeat_interval_s must be positive, got "
-                f"{self.heartbeat_interval_s}"
-            )
 
 
 class Job:
@@ -187,7 +185,6 @@ class ExperimentService(NdjsonServer):
             "watch": self._verb_watch,
             "cancel": self._verb_cancel,
             "stats": self._verb_stats,
-            "heartbeat": self._verb_heartbeat,
         })
         self.config = config or ServiceConfig()
         self.store = ResultStore(
@@ -299,19 +296,20 @@ class ExperimentService(NdjsonServer):
     # Fleet self-registration (serve --register HOST:PORT)
     # ------------------------------------------------------------------
     async def _register_loop(self) -> None:
-        """Register with the router, then push heartbeats until drain.
+        """Register with the router, and again each time it hangs up.
 
-        One long-lived NDJSON connection per attempt: ``register`` once,
-        then a ``heartbeat`` line every ``heartbeat_interval_s``.  Any
-        failure (router down, restarted, connection reset) tears the
-        connection down, waits one interval and starts over with a fresh
-        ``register`` -- a restarted router relearns the fleet from these.
+        One NDJSON connection per registration: ``register`` once, then
+        the worker sends nothing and holds the connection idle until the
+        router closes it (its drain, a restart, a reset).  The router's
+        own probes judge this worker's health.  After the close, or a
+        failed attempt, the worker waits ``REGISTER_RETRY_S`` and
+        registers again -- a restarted router relearns the fleet from
+        these.
         """
         router_host, _, router_port = self.config.register_with.rpartition(":")
         router_host = router_host or "127.0.0.1"
         advertise = self.config.advertise_host or self.config.host
         name = self.config.worker_name or f"{advertise}:{self.port}"
-        interval = self.config.heartbeat_interval_s
         while True:
             writer = None
             try:
@@ -322,19 +320,16 @@ class ExperimentService(NdjsonServer):
                     "register", name=name, host=advertise, port=self.port,
                 )))
                 await writer.drain()
-                if not await reader.readline():
-                    raise ConnectionError("router closed during register")
-                while True:
-                    await asyncio.sleep(interval)
-                    writer.write(encode_message(request("heartbeat", name=name)))
-                    await writer.drain()
-                    if not await reader.readline():
-                        raise ConnectionError("router closed mid-heartbeat")
+                if await reader.readline():
+                    # The router never writes on this connection again,
+                    # so this read returns only when the router closes it.
+                    await reader.readline()
             except (ConnectionError, OSError, ValueError):
-                await asyncio.sleep(interval)
+                pass
             finally:
                 if writer is not None:
                     writer.close()
+            await asyncio.sleep(REGISTER_RETRY_S)
 
     def _set_state(self, job: Job, state: str) -> None:
         job.state = state
@@ -547,17 +542,6 @@ class ExperimentService(NdjsonServer):
             store=self.store.stats(),
         )
         await self._send(writer, ok_response(req_id, stats=snapshot))
-
-    async def _verb_heartbeat(self, msg, req_id, writer) -> None:
-        """Liveness for the fleet health prober: cheap, never blocks."""
-        self.metrics.count("heartbeats")
-        await self._send(writer, ok_response(
-            req_id,
-            alive=True,
-            uptime_s=round(self.metrics.uptime_s(), 3),
-            queue_depth=len(self._queue),
-            draining=self._draining,
-        ))
 
 
 # ----------------------------------------------------------------------

@@ -70,9 +70,6 @@ class RngStream:
     # generator in __init__); no class-level wrapper, which would conflict
     # with the slot of the same name.
 
-    def randint(self, lo: int, hi: int) -> int:
-        return self._rng.randint(lo, hi)
-
     def choice(self, seq):
         return self._rng.choice(seq)
 

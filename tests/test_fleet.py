@@ -17,6 +17,9 @@ The acceptance criteria under test:
   mid-fleet and its key fails over.
 * **Tiered admission** -- per-client quota and lane bounds shed with
   ``overloaded`` + ``retry_after_s``, never queue.
+* **One membership path** -- ``register`` is how a worker joins, and
+  joins again after its own or the router's restart; the router's probes
+  alone mark a dead worker down.
 * **Typed unavailability** -- transport death surfaces as
   :class:`ServiceUnavailable`, and a broken ``stream_results`` reports
   exactly the cache keys it never delivered.
@@ -159,16 +162,6 @@ class TestWorkerRegistry:
         assert registry.route("k") is None
         assert registry.live_count() == 0
 
-    def test_expire_marks_silent_workers_down(self):
-        clock = [0.0]
-        registry = self._registry(clock=lambda: clock[0])
-        clock[0] = 10.0
-        registry.heartbeat("w0")  # only w0 stays fresh
-        expired = registry.expire(timeout_s=5.0)
-        assert sorted(expired) == ["w1", "w2"]
-        assert registry.get("w0").state == "up"
-        assert registry.get("w1").state == "down"
-
     def test_reregister_updates_endpoint_marks_up_keeps_sharding(self):
         registry = self._registry()
         key = "another-key"
@@ -257,6 +250,81 @@ def _wait_live(router, expected, deadline_s=10.0):
                 return
             time.sleep(0.05)
     raise AssertionError(f"fleet never reached {expected} live workers")
+
+
+# ----------------------------------------------------------------------
+# Membership: register joins, router probes judge health
+# ----------------------------------------------------------------------
+def _registry_entry(router, name):
+    with ServiceClient(port=router.port) as client:
+        workers = client.fleet_stats()["registry"]["workers"]
+    return next(worker for worker in workers if worker["name"] == name)
+
+
+class TestMembership:
+    def test_restarted_worker_serves_its_first_routed_cell(self):
+        # Probes too slow to run during the test: only registration can
+        # tell the router that w0 restarted.
+        router = RouterThread(heartbeat_interval_s=30.0).start()
+        join = {"register_with": f"127.0.0.1:{router.port}", "worker_name": "w0"}
+        worker = ServiceThread(**join).start()
+        try:
+            _wait_live(router, 1)
+            with ServiceClient(port=router.port) as client:
+                client.submit(_config(seed=1), as_text=True)
+            worker.stop()
+            worker = ServiceThread(**join).start()
+            with ServiceClient(port=router.port) as client:
+                for _ in range(200):
+                    if client.stats()["counters"]["registrations"] >= 2:
+                        break
+                    time.sleep(0.05)
+            assert _registry_entry(router, "w0")["port"] == worker.port
+            config = _config(seed=2)
+            with ServiceClient(port=router.port) as client:
+                served = client.submit(config, as_text=True)
+                counters = client.stats()["counters"]
+        finally:
+            worker.stop()
+            router.stop()
+        assert served == _serial_bytes(config)
+        assert counters["failovers"] == 0 and counters["unavailable"] == 0
+
+    def test_worker_reregisters_with_a_restarted_router(self):
+        router = RouterThread(heartbeat_interval_s=0.2).start()
+        port = router.port
+        worker = ServiceThread(register_with=f"127.0.0.1:{port}",
+                               worker_name="w0").start()
+        try:
+            _wait_live(router, 1)
+            router.stop()
+            router = RouterThread(port=port, heartbeat_interval_s=0.2).start()
+            _wait_live(router, 1)
+            config = _config()
+            with ServiceClient(port=router.port) as client:
+                served = client.submit(config, as_text=True)
+        finally:
+            worker.stop()
+            router.stop()
+        assert served == _serial_bytes(config)
+
+    def test_probes_alone_mark_a_stopped_worker_down(self):
+        router = RouterThread(heartbeat_interval_s=0.2).start()
+        worker = ServiceThread(register_with=f"127.0.0.1:{router.port}",
+                               worker_name="w0").start()
+        try:
+            _wait_live(router, 1)
+            worker.stop()
+            deadline = time.monotonic() + 2.0
+            while (_registry_entry(router, "w0")["state"] != "down"
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            entry = _registry_entry(router, "w0")
+        finally:
+            worker.stop()
+            router.stop()
+        assert entry["state"] == "down"
+        assert entry["forwards"] == 0  # no submit was needed to notice
 
 
 class TestRouterDeterminism:

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""CI smoke for the fleet tier: router + 2 workers, failover, drain.
+"""CI smoke for the fleet tier: router + 2 workers, failover, restart, drain.
 
 Boots a real ``python -m repro route`` subprocess plus two
 ``python -m repro serve --register`` worker subprocesses sharing one
@@ -12,8 +12,11 @@ real TCP:
 3. SIGTERM of one worker drains cleanly (exit 0, drain banner) and a
    cell owned by the dead worker fails over to the survivor -- still
    byte-identical.
-4. The shared cache directory ends consistent (no ``.tmp`` leftovers),
-   and the surviving worker and the router both drain cleanly.
+4. The drained worker, relaunched under the same ``--name``, registers
+   again and takes back its keys: a fresh cell it owns is forwarded to
+   it, byte-identical, with no failover.
+5. The shared cache directory ends consistent (no ``.tmp`` leftovers),
+   and both workers and the router drain cleanly.
 
 Exit status is non-zero on any violation, so CI can run this file
 directly.
@@ -73,6 +76,14 @@ def _wait_live(router_port, expected, deadline_s=30.0):
     raise AssertionError(f"fleet never reached {expected} live workers")
 
 
+def _counters(router_port):
+    """(per-worker forwards, router failovers) as the router sees them."""
+    with ServiceClient(port=router_port) as client:
+        fleet = client.fleet_stats()
+    forwards = {w["name"]: w["forwards"] for w in fleet["registry"]["workers"]}
+    return forwards, fleet["router"]["counters"]["failovers"]
+
+
 def _drain(process, what):
     """SIGTERM ``process`` and assert the clean-drain contract."""
     process.send_signal(signal.SIGTERM)
@@ -99,8 +110,7 @@ def main() -> int:
             procs.append(router)
             router_port = _port_from_banner(router, "router")
 
-            workers = {}
-            for name in WORKER_NAMES:
+            def launch(name):
                 worker = _spawn(
                     [sys.executable, "-m", "repro", "serve", "--port", "0",
                      "--cache-dir", cache_dir,
@@ -110,7 +120,9 @@ def main() -> int:
                 )
                 procs.append(worker)
                 _port_from_banner(worker, name)
-                workers[name] = worker
+                return worker
+
+            workers = {name: launch(name) for name in WORKER_NAMES}
 
             _wait_live(router_port, expected=len(WORKER_NAMES))
             print(f"fleet live: {len(WORKER_NAMES)} workers registered")
@@ -156,15 +168,44 @@ def main() -> int:
             print(f"failover byte-identical via survivor: OK "
                   f"(states={states})")
 
+            # Restart the victim under its old name: registering again is
+            # its only way back, and its keys must come straight back.
+            forwards, failovers = _counters(router_port)
+            workers[victim] = launch(victim)
+            _wait_live(router_port, expected=len(WORKER_NAMES))
+            seed = 5000
+            while True:
+                restart_cell = ExperimentConfig(
+                    os_name="win98", workload="games",
+                    duration_s=DURATION_S, seed=seed,
+                )
+                if ring.lookup(cache_key(restart_cell)) == victim:
+                    break
+                seed += 1
+            with ServiceClient(port=router_port) as client:
+                restarted = client.submit(restart_cell, as_text=True)
+            expected = sample_set_to_json(
+                run_campaign([restart_cell]).sample_sets[0]
+            )
+            assert restarted == expected, \
+                "bytes from the restarted worker differ from serial run_campaign"
+            forwards_after, failovers_after = _counters(router_port)
+            assert forwards_after[victim] == forwards[victim] + 1, \
+                f"{victim} did not take its own key back ({forwards_after})"
+            assert failovers_after == failovers, \
+                f"failovers moved {failovers} -> {failovers_after}"
+            print(f"restarted {victim} re-registered and served its key: OK "
+                  f"(seed={seed}, forwards={forwards_after})")
+
             leftovers = list(Path(cache_dir).glob("*.tmp"))
             assert not leftovers, f"fleet leaked temp files: {leftovers}"
             entries = list(Path(cache_dir).glob("*.json"))
-            assert len(entries) == len(BATCH) + 1, \
-                f"expected {len(BATCH) + 1} cache entries, got {len(entries)}"
+            assert len(entries) == len(BATCH) + 2, \
+                f"expected {len(BATCH) + 2} cache entries, got {len(entries)}"
             print("shared result store consistent: OK")
 
-            survivor = next(n for n in WORKER_NAMES if n != victim)
-            _drain(workers[survivor], survivor)
+            for name in WORKER_NAMES:
+                _drain(workers[name], name)
             _drain(router, "router")
         finally:
             for process in procs:

@@ -34,7 +34,9 @@ import pstats
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+# Appended, not prepended: a tree on PYTHONPATH is the one profiled, and
+# this checkout's src is only the fallback.
+sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.experiment import build_loaded_os  # noqa: E402
 
