@@ -41,6 +41,7 @@ def measure_via_service(configs, server: str):
     cannot tell the difference.
     """
     from repro.service import ServiceClient, ServiceThread
+    from repro.service.protocol import parse_endpoint
 
     if server == "local":
         print("booting a local experiment service...")
@@ -48,8 +49,8 @@ def measure_via_service(configs, server: str):
             with ServiceClient(port=thread.port) as client:
                 print(f"serving both cells via 127.0.0.1:{thread.port}...")
                 return client.run_campaign(configs)
-    host, _, port = server.rpartition(":")
-    with ServiceClient(host=host or "127.0.0.1", port=int(port)) as client:
+    host, port = parse_endpoint(server)
+    with ServiceClient(host=host, port=port) as client:
         print(f"serving both cells via {server}...")
         return client.run_campaign(configs)
 

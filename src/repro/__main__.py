@@ -239,9 +239,9 @@ def cmd_run_scenario(args) -> int:
         return 0
     if args.router:
         from repro.service import ServiceClient, ServiceError
+        from repro.service.protocol import parse_endpoint
 
-        router_host, _, router_port = args.router.rpartition(":")
-        host, port = router_host or "127.0.0.1", int(router_port)
+        host, port = parse_endpoint(args.router)
         try:
             client = ServiceClient(host=host, port=port, timeout=args.timeout)
         except OSError as exc:
@@ -278,6 +278,7 @@ def cmd_run_scenario(args) -> int:
 
 def cmd_submit(args) -> int:
     from repro.service import ServiceClient, ServiceError
+    from repro.service.protocol import parse_endpoint
 
     scenario = None
     if args.scenario:
@@ -291,8 +292,7 @@ def cmd_submit(args) -> int:
     host, port = args.host, args.port
     if args.router:
         # --router HOST:PORT targets a fleet router; same wire protocol.
-        router_host, _, router_port = args.router.rpartition(":")
-        host, port = router_host or "127.0.0.1", int(router_port)
+        host, port = parse_endpoint(args.router)
     try:
         client = ServiceClient(host=host, port=port, timeout=args.timeout)
     except OSError as exc:
@@ -355,9 +355,21 @@ _FLAG_CHECKS = (
     ("interactive_inflight", lambda v: v >= 1,
      "--interactive-inflight must be at least 1"),
     ("batch_inflight", lambda v: v >= 1, "--batch-inflight must be at least 1"),
-    ("router", lambda v: v is None or ":" in v,
-     "--router must look like HOST:PORT"),
+    ("router", lambda v: v is None or _is_endpoint(v),
+     "--router must look like HOST:PORT with port 1..65535"),
+    ("register", lambda v: v is None or _is_endpoint(v),
+     "--register must look like HOST:PORT with port 1..65535"),
 )
+
+
+def _is_endpoint(text: str) -> bool:
+    from repro.service.protocol import parse_endpoint
+
+    try:
+        parse_endpoint(text)
+    except ValueError:
+        return False
+    return True
 
 
 def _validate_flags(args) -> "str | None":
@@ -424,7 +436,9 @@ def main(argv=None) -> int:
                         "(default: own host:port)")
     p.add_argument("--advertise-host", default=None,
                    help="host the router should dial back (default: the "
-                        "bind host; set when binding 0.0.0.0)")
+                        "bind host; with a wildcard --host such as "
+                        "0.0.0.0, the local address of the connection "
+                        "to the --register router)")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("route", help="run the fleet router/coordinator")

@@ -13,7 +13,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.samples import SampleSet
 from repro.drivers.latency import LatencyToolConfig, WdmLatencyTool
-from repro.hw.machine import Machine, MachineConfig
+from repro.hw.machine import Machine
 from repro.kernel.boot import boot_os
 from repro.kernel.intrusions import AppliedLoad, LoadProfile, apply_load_profile
 from repro.kernel.nt4 import BootedOs
@@ -73,10 +73,9 @@ def build_loaded_os(
     workload_name: str,
     seed: int,
     extra_profile: Optional[LoadProfile] = None,
-    machine_config: MachineConfig = MachineConfig(),
 ) -> Tuple[BootedOs, AppliedLoad]:
     """Boot an OS and apply a workload to it (no measurement tool)."""
-    machine = Machine(machine_config, seed=seed)
+    machine = Machine(seed=seed)
     os = boot_os(machine, os_name)
     profile = get_workload(workload_name).profile_for(os_name)
     if extra_profile is not None:

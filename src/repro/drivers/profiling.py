@@ -146,7 +146,6 @@ class ProfilingCauseSampler:
             raise ValueError(f"threshold must be positive, got {threshold_ms}")
         self.tool = tool
         self.kernel: Kernel = tool.kernel
-        self.sampling_hz = sampling_hz
         self.threshold_ms = threshold_ms
         self.ring_size = ring_size
         self.max_episodes = max_episodes

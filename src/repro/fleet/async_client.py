@@ -60,7 +60,6 @@ class AsyncServiceClient:
             raise ValueError(f"pool_size must be >= 1, got {pool_size}")
         self.host = host
         self.port = port
-        self.pool_size = pool_size
         self.retries = retries
         self.lane = lane
         self.client_id = client_id

@@ -60,11 +60,9 @@ class Device:
                 latency_cycles=clock.us_to_cycles(config.irq_latency_us),
             )
         )
-        self.interrupts_raised = 0
 
     def raise_irq(self) -> None:
         """Assert the device's interrupt line right now."""
-        self.interrupts_raised += 1
         self.pic.assert_vector(self.vector, self.engine.now)
 
     def complete_in(self, delay_ms: float) -> None:

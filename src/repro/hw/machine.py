@@ -14,11 +14,15 @@ from typing import Dict
 from repro.sim.clock import CpuClock
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStream
-from repro.sim.trace import TraceLog
 from repro.hw.devices import Device, standard_pci_devices
 from repro.hw.pic import InterruptController, InterruptVector
 from repro.hw.pit import DEFAULT_FREQUENCY_HZ, ProgrammableIntervalTimer
 from repro.hw.tsc import TimeStampCounter
+
+
+#: IRQL of the clock interrupt.  The paper notes the PIT ISR "runs at
+#: extremely high IRQL"; NT's clock level is 28.
+PIT_IRQL = 28
 
 
 @dataclass(frozen=True)
@@ -27,20 +31,11 @@ class MachineConfig:
 
     Attributes:
         cpu_hz: CPU frequency (cycles per second).
-        ram_mb: Installed memory; influences paging pressure in workloads.
         pit_hz: Initial PIT rate (before any driver reprograms it).
-        pit_irql: IRQL of the clock interrupt.  The paper notes the PIT ISR
-            "runs at extremely high IRQL"; NT's clock level is 28.
-        tsc_boot_offset: Initial TSC value at simulation start.
-        trace: Enable the structured trace log (slow; tests only).
     """
 
     cpu_hz: int = 300_000_000
-    ram_mb: int = 32
     pit_hz: float = DEFAULT_FREQUENCY_HZ
-    pit_irql: int = 28
-    tsc_boot_offset: int = 0
-    trace: bool = False
 
 
 class Machine:
@@ -50,14 +45,13 @@ class Machine:
         self.config = config
         self.engine = Engine()
         self.clock = CpuClock(hz=config.cpu_hz)
-        self.tsc = TimeStampCounter(self.engine, boot_offset=config.tsc_boot_offset)
-        self.trace = TraceLog(enabled=config.trace)
+        self.tsc = TimeStampCounter(self.engine)
         self.rng = RngStream(seed, "machine")
         self.pic = InterruptController()
         self.pic.register(
             InterruptVector(
                 name=ProgrammableIntervalTimer.VECTOR_NAME,
-                irql=config.pit_irql,
+                irql=PIT_IRQL,
                 latency_cycles=self.clock.us_to_cycles(1.5),
             )
         )
@@ -89,4 +83,4 @@ class Machine:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         mhz = self.config.cpu_hz / 1e6
-        return f"<Machine {mhz:.0f} MHz, {self.config.ram_mb} MB, t={self.now_ms():.3f} ms>"
+        return f"<Machine {mhz:.0f} MHz, t={self.now_ms():.3f} ms>"

@@ -17,8 +17,8 @@ from typing import Callable, Dict, List, Optional
 
 
 # slots=True: vector fields (irql, latency_cycles, asserted_at) are read on
-# every poll/delivery, and the fast-forward settle bumps the counters in
-# bulk; slotted instances keep those accesses off a per-instance dict.
+# every poll/delivery; slotted instances keep those loads off a
+# per-instance dict.
 @dataclass(slots=True)
 class InterruptVector:
     """One interrupt line as the kernel sees it.
@@ -30,7 +30,6 @@ class InterruptVector:
             being able to start the ISR (bus arbitration + vector fetch).
         asserted_at: Cycle time of the oldest un-acknowledged assertion, or
             ``None`` when idle.
-        assertions: Total number of assertions (diagnostics).
         coalesced: Assertions that arrived while already pending (edge
             triggered semantics: they are lost, like real hardware).
     """
@@ -39,8 +38,6 @@ class InterruptVector:
     irql: int
     latency_cycles: int = 600  # ~2 microseconds at 300 MHz
     asserted_at: Optional[int] = None
-    context: object = None
-    assertions: int = 0
     coalesced: int = 0
 
     @property
@@ -106,7 +103,6 @@ class InterruptController:
         line on every fire; caching the vector object skips the per-fire
         name lookup.
         """
-        vector.assertions += 1
         if vector.asserted_at is not None:
             vector.coalesced += 1
             return False

@@ -36,7 +36,7 @@ class Dpc:
         routine: ``routine(kernel, dpc)`` returning a generator of kernel
             requests (the deferred work).
         importance: Queue insertion policy.
-        name: Identifier used in traces and the cause tool.
+        name: Identifier the cause tool reports.
         module: Module label for cause-tool sampling (e.g. ``"NTKERN"``).
         context: Arbitrary per-queue payload (the paper passes the IRP).
     """
@@ -57,7 +57,6 @@ class Dpc:
         "queued",
         "enqueued_at",
         "enqueue_clock_assert",
-        "enqueue_count",
         "run_count",
         "burn_cycles",
     )
@@ -93,19 +92,17 @@ class Dpc:
         #: DPC was enqueued (simulator ground truth for latency accounting;
         #: ``None`` when not enqueued from the clock ISR's tick).
         self.enqueue_clock_assert: Optional[int] = None
-        self.enqueue_count = 0
         self.run_count = 0
 
 
 class DpcQueue:
     """The system DPC queue."""
 
-    __slots__ = ("_queue", "max_depth", "total_enqueued")
+    __slots__ = ("_queue", "max_depth")
 
     def __init__(self) -> None:
         self._queue: Deque[Dpc] = deque()
         self.max_depth = 0
-        self.total_enqueued = 0
 
     def insert(self, dpc: Dpc, now: int, context: object = None) -> bool:
         """``KeInsertQueueDpc``: queue a DPC if not already queued.
@@ -118,14 +115,12 @@ class DpcQueue:
             return False
         dpc.queued = True
         dpc.enqueued_at = now
-        dpc.enqueue_count += 1
         if context is not None:
             dpc.context = context
         if dpc.importance is DpcImportance.HIGH:
             self._queue.appendleft(dpc)
         else:
             self._queue.append(dpc)
-        self.total_enqueued += 1
         if len(self._queue) > self.max_depth:
             self.max_depth = len(self._queue)
         return True

@@ -235,7 +235,6 @@ class IntrusionSource:
         self.rng = rng.child(f"intrusion/{spec.name}")
         self.section_executor = section_executor
         self.fired = 0
-        self.total_ms = 0.0
         self._ms_to_cycles = kernel.clock.ms_to_cycles
         self._s_to_cycles = kernel.clock.s_to_cycles
         self._engine = kernel.engine
@@ -311,7 +310,6 @@ class IntrusionSource:
         self._pair_i = i + 1
         spec = self.spec
         self.fired += 1
-        self.total_ms += duration_ms
         kind = spec.kind
         if kind is IntrusionKind.CLI or kind is IntrusionKind.ISR:
             self._duration_ms = duration_ms
@@ -401,11 +399,9 @@ class DeviceActivitySource:
         self._rate = spec.rate_hz
         self._engine = kernel.engine
         self._hz = kernel.clock.hz
-        device = kernel.machine.device(spec.device)
-        self.device = device
-        # Fire path: bump the device's own counter here and assert the
-        # cached vector, skipping the raise_irq frame (same state updates).
-        self._device_vector = device.vector
+        # Fire path: assert the cached vector, skipping the raise_irq frame
+        # (same state updates).
+        self._device_vector = kernel.machine.device(spec.device).vector
         self._assert_vector = kernel.pic.assert_vector
         self._dpc = Dpc(
             routine=self._dpc_routine,
@@ -448,8 +444,6 @@ class DeviceActivitySource:
 
     def _fire(self) -> None:
         self.fired += 1
-        device = self.device
-        device.interrupts_raised += 1
         engine = self._engine
         self._assert_vector(self._device_vector, engine.now)
         # expovariate(rate), Engine.repost_in and Clock.s_to_cycles all

@@ -110,8 +110,10 @@ class Frame:
     """One execution context (ISR instance, DPC drain slot, or thread).
 
     ISR and DPC frames are short-lived (one per delivery/drain slot) and
-    recycled through the kernel's frame free-list; :meth:`reset` restores
-    every field so a pooled frame is indistinguishable from a fresh one.
+    recycled through the kernel's frame free-list; the reuse paths in
+    ``Kernel._deliver`` and ``Kernel._maybe_start_dpc_drain`` rewrite the
+    fields a finished frame leaves dirty, so a pooled frame is
+    indistinguishable from a fresh one.
     """
 
     __slots__ = (
@@ -119,10 +121,7 @@ class Frame:
         "gen",
         "irql",
         "owner",
-        "module",
-        "function",
         "mf_label",
-        "gen_started",
         "run_end",
         "run_entry",
         "run_remaining",
@@ -135,30 +134,17 @@ class Frame:
         "seg_running",
     )
 
-    def __init__(self, kind: FrameKind, irql: int, owner: object, module: str, function: str):
-        # Reusable run-end heap entry (see Kernel._begin_run).  Deliberately
-        # NOT cleared by reset(): it survives frame recycling, since its
-        # callback args reference this frame object, which is also reused.
+    def __init__(self, kind: FrameKind, irql: int, owner: object, mf_label: Tuple[str, str]):
+        # Reusable run-end heap entry (see Kernel._begin_run).  It survives
+        # frame recycling, since its callback args reference this frame
+        # object, which is also reused.
         self.run_entry = None
-        self.reset(kind, irql, owner, module, function)
-
-    def reset(
-        self,
-        kind: FrameKind,
-        irql: int,
-        owner: object,
-        module: str,
-        function: str,
-        mf_label: Optional[Tuple[str, str]] = None,
-    ) -> "Frame":
         self.kind = kind
         self.gen = None
         self.irql = irql
         self.owner = owner
-        self.module = module
-        self.function = function
-        self.mf_label = mf_label if mf_label is not None else (module, function)
-        self.gen_started = False
+        #: (module, function) of the frame's body, for the cause tool.
+        self.mf_label = mf_label
         self.run_end = None  # EventHandle of the active Run segment
         self.run_remaining = 0  # unconsumed cycles of a paused Run
         self.run_label: Optional[Tuple[str, str]] = None
@@ -169,7 +155,6 @@ class Frame:
         self.segs = None  # the Segments tuple once entered
         self.seg_index = 0  # cursor: next segment to start (or running)
         self.seg_running = False  # segments[seg_index] has an active Run
-        return self
 
     @property
     def label(self) -> Tuple[str, str]:
@@ -178,7 +163,8 @@ class Frame:
         return run_label if run_label is not None else self.mf_label
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Frame {self.kind.value} irql={self.irql} {self.module}!{self.function}>"
+        module, function = self.mf_label
+        return f"<Frame {self.kind.value} irql={self.irql} {module}!{function}>"
 
 
 @dataclass
@@ -189,13 +175,7 @@ class KernelStats:
     isr_nest_max: int = 0
     dpcs_executed: int = 0
     context_switches: int = 0
-    thread_preemptions: int = 0
-    quantum_rotations: int = 0
-    waits_blocked: int = 0
     waits_immediate: int = 0
-    wait_timeouts: int = 0
-    timer_expirations: int = 0
-    idle_entries: int = 0
     per_vector: Dict[str, int] = field(default_factory=dict)
 
 
@@ -218,7 +198,6 @@ class Kernel:
         "clock",
         "tsc",
         "pic",
-        "trace",
         "profile",
         "costs",
         "_isr_dispatch_cost",
@@ -261,7 +240,6 @@ class Kernel:
         self.clock = machine.clock
         self.tsc = machine.tsc
         self.pic = machine.pic
-        self.trace = machine.trace
         self.profile = profile
         self.costs = profile.cycles(machine.clock)
         # Scalar cost copies: OsProfileCycles is frozen, so lifting the hot
@@ -295,7 +273,7 @@ class Kernel:
         self.threads: List[KThread] = []
 
         #: The one ISR table, filled only by connect_interrupt: vector name
-        #: -> (factory, compiled, fn_name, ("HAL", fn_name), const_segs,
+        #: -> (factory, compiled, ("HAL", "_<name>_isr"), const_segs,
         #: deliver_cycles), everything _deliver needs in a single dict probe.
         #: "compiled" (see requests.segments_body) is resolved at connect
         #: time so _deliver avoids a per-delivery getattr.
@@ -390,12 +368,10 @@ class Kernel:
 
     def _isr_entry(self, vector: InterruptVector, factory, compiled: bool, const_segs) -> tuple:
         """One ``_isr_info`` row (see ``__init__``)."""
-        fn_name = f"_{vector.name}_isr"
         return (
             factory,
             compiled,
-            fn_name,
-            ("HAL", fn_name),
+            ("HAL", f"_{vector.name}_isr"),
             const_segs,
             # Pre-resolved synchronous delivery cost: hardware latency plus
             # the OS's ISR dispatch scalar.  _deliver uses it whenever the
@@ -452,8 +428,8 @@ class Kernel:
         start: bool = True,
     ) -> KThread:
         """``PsCreateSystemThread``: create (and by default start) a thread."""
-        thread = KThread(name=name, priority=priority, body=body, module=module, system=system)
-        frame = Frame(_FK_THREAD, irql_mod.PASSIVE_LEVEL, thread, module, name)
+        thread = KThread(name=name, priority=priority, module=module, system=system)
+        frame = Frame(_FK_THREAD, irql_mod.PASSIVE_LEVEL, thread, (module, name))
         frame.gen = body(self, thread)
         thread.frame = frame
         self.threads.append(thread)
@@ -601,14 +577,6 @@ class Kernel:
             return self.current_thread.frame
         return None
 
-    def current_irql(self) -> int:
-        frame = self._running_frame()
-        if frame is None:
-            return irql_mod.PASSIVE_LEVEL
-        if frame.kind is _FK_DPC:
-            return _DISPATCH_LEVEL
-        return frame.irql
-
     def current_execution_label(self) -> Tuple[str, str]:
         """(module, function) of whatever the CPU is executing right now."""
         frame = self._running_frame()
@@ -687,8 +655,8 @@ class Kernel:
 
         This runs on every frame transition, so the running-frame walk and
         IRQL derivation are inlined (one pass) rather than calling
-        :meth:`_running_frame` and :meth:`current_irql` separately, and the
-        active-Run pending check reads the heap-entry state slot directly.
+        :meth:`_running_frame`, and the active-Run pending check reads the
+        heap-entry state slot directly.
         Kept: 2,094 / 596 calls.
         """
         if not self._pending_vectors:
@@ -745,29 +713,25 @@ class Kernel:
             # The row is built per delivery, never stored: a cached row
             # would make connect_interrupt refuse the vector for good.
             info = self._isr_entry(vector, _spurious_isr_factory, False, None)
-        factory, compiled, fn_name, mf_label, const_segs, deliver_cycles = info
+        factory, compiled, mf_label, const_segs, deliver_cycles = info
         engine = self.engine
         pool = self._frame_pool
         if pool:
-            # Frame.reset, slimmed to the fields a pooled frame actually
+            # Frame.__init__, slimmed to the fields a pooled frame actually
             # dirties: _frame_finished cleared gen/owner/segs, the final
             # run completion left run_end None / run_remaining 0 /
             # seg_running False, and the generator driver nulls send_value
-            # per step -- so only the identity fields, the started flag,
-            # the stale run label and the segment cursor need rewriting.
+            # per step -- so only the identity fields, the stale run label
+            # and the segment cursor need rewriting.
             frame = pool.pop()
             frame.kind = _FK_ISR
             frame.irql = vector.irql
             frame.owner = vector
-            frame.module = "HAL"
-            frame.function = fn_name
             frame.mf_label = mf_label
-            frame.gen_started = False
             frame.run_label = None
             frame.seg_index = 0
         else:
-            frame = Frame(_FK_ISR, vector.irql, vector, "HAL", fn_name)
-            frame.mf_label = mf_label
+            frame = Frame(_FK_ISR, vector.irql, vector, mf_label)
         if const_segs is not None:
             # Side-effect-free constant body: install the tuple directly.
             frame.segs = const_segs
@@ -790,9 +754,6 @@ class Kernel:
         per_vector[name] = per_vector.get(name, 0) + 1
         if len(isr_stack) > stats.isr_nest_max:
             stats.isr_nest_max = len(isr_stack)
-        trace = self.trace
-        if trace.enabled:
-            trace.emit(engine.now, "irq", f"deliver {name}", irql=vector.irql)
         # Charge the residual hardware latency plus software dispatch cost
         # before the ISR's first instruction executes (fresh frame, so
         # _resume_frame's run_remaining term is zero and is skipped).
@@ -913,8 +874,6 @@ class Kernel:
         elif frame.seg_factory is not None:
             self._enter_segments(frame)
         else:
-            if not frame.gen_started:
-                frame.gen_started = True
             self._drive(frame)
         self._in_kernel = False
 
@@ -926,8 +885,6 @@ class Kernel:
         if frame.seg_factory is not None:
             self._enter_segments(frame)
             return
-        if not frame.gen_started:
-            frame.gen_started = True
         self._drive(frame)
 
     # -- compiled-segment execution (see requests.Segments) ------------
@@ -1129,8 +1086,6 @@ class Kernel:
         else:
             thread: KThread = frame.owner
             thread.state = ThreadState.TERMINATED
-            if self.trace.enabled:
-                self.trace.emit(self.engine.now, "thread", f"exit {thread.name}")
             if self.current_thread is thread:
                 self.current_thread = None
                 self._cancel_quantum()
@@ -1193,21 +1148,17 @@ class Kernel:
         dpc.queued = False
         pool = self._frame_pool
         if pool:
-            # Frame.reset slimmed to the fields a pooled frame dirties
+            # Frame.__init__ slimmed to the fields a pooled frame dirties
             # (same invariants as the _deliver reuse path).
             frame = pool.pop()
             frame.kind = _FK_DPC
             frame.irql = _DISPATCH_LEVEL
             frame.owner = dpc
-            frame.module = dpc.module
-            frame.function = dpc.name
             frame.mf_label = dpc.mf_label
-            frame.gen_started = False
             frame.run_label = None
             frame.seg_index = 0
         else:
-            frame = Frame(_FK_DPC, _DISPATCH_LEVEL, dpc, dpc.module, dpc.name)
-            frame.mf_label = dpc.mf_label
+            frame = Frame(_FK_DPC, _DISPATCH_LEVEL, dpc, dpc.mf_label)
         const_segs = dpc.const_segs
         engine = self.engine
         if const_segs is not None:
@@ -1225,8 +1176,6 @@ class Kernel:
             frame.gen = self._dpc_body(dpc)
             engine.interpreted_frames += 1
         self.dpc_frame = frame
-        if self.trace.enabled:
-            self.trace.emit(self.engine.now, "dpc", f"run {dpc.name}")
         self._resume_frame(frame, extra_cycles=self._dpc_dispatch_cost)
         return True
 
@@ -1260,7 +1209,6 @@ class Kernel:
         if obj.can_satisfy(thread):
             obj.consume(thread)
             frame.send_value = WaitStatus.OBJECT
-            thread.waits_satisfied += 1
             self.stats.waits_immediate += 1
             return True
         # Block.
@@ -1271,9 +1219,6 @@ class Kernel:
             thread.wait_timeout_handle = self.engine.schedule_in(
                 self.clock.ms_to_cycles(request.timeout_ms), self._wait_timeout, thread
             )
-        self.stats.waits_blocked += 1
-        if self.trace.enabled:
-            self.trace.emit(self.engine.now, "thread", f"block {thread.name}", on=obj.name)
         self.current_thread = None
         self._cancel_quantum()
         self._dispatch()
@@ -1288,7 +1233,6 @@ class Kernel:
             if obj.can_satisfy(thread):
                 obj.consume(thread)
                 frame.send_value = (WaitStatus.OBJECT, index)
-                thread.waits_satisfied += 1
                 self.stats.waits_immediate += 1
                 return True
         # Block on all of them.
@@ -1301,14 +1245,6 @@ class Kernel:
             thread.wait_timeout_handle = self.engine.schedule_in(
                 self.clock.ms_to_cycles(request.timeout_ms), self._wait_timeout, thread
             )
-        self.stats.waits_blocked += 1
-        # The joined object-name payload is expensive to build; emit_lazy
-        # defers it entirely unless tracing is on.
-        self.trace.emit_lazy(
-            self.engine.now,
-            "thread",
-            lambda: (f"block-any {thread.name}", {"on": ",".join(o.name for o in request.objs)}),
-        )
         self.current_thread = None
         self._cancel_quantum()
         self._dispatch()
@@ -1321,7 +1257,6 @@ class Kernel:
         for obj in self._objects_thread_waits_on(thread):
             obj.remove_waiter(thread)
         thread.wait_timeout_handle = None
-        self.stats.wait_timeouts += 1
         self._make_ready(thread, WaitStatus.TIMEOUT, wake_obj=None)
         self._in_kernel = False
 
@@ -1358,12 +1293,9 @@ class Kernel:
             thread.frame.send_value = status
         thread.waiting_on = None
         thread.state = _TS_READY
-        thread.waits_satisfied += 1
         if status is WaitStatus.OBJECT:
             self._apply_wait_boost(thread)
         self.ready.enqueue(thread)
-        if self.trace.enabled:
-            self.trace.emit(self.engine.now, "thread", f"ready {thread.name}")
         # Same elision as queue_dpc: while an ISR or DPC frame is active
         # the unwind re-runs the dispatcher, so the deferred schedule point
         # would be a guaranteed no-op.
@@ -1414,7 +1346,6 @@ class Kernel:
         top = self.ready._mask.bit_length() - 1
         if cur is None:
             if top < 0:
-                self.stats.idle_entries += 1
                 # CPU idle; interrupts will wake us.  If the only imminent
                 # work is inert clock ticks, batch-settle them analytically
                 # (guards ordered cheapest-first; _pit_vector is None until
@@ -1426,7 +1357,6 @@ class Kernel:
                     and not self._pending_vectors
                     and not self._dpc_deque
                     and not self._pit_hooks_draw_rng
-                    and not self.trace.enabled
                 ):
                     self._try_fast_forward()
                 return
@@ -1438,7 +1368,6 @@ class Kernel:
             self._cancel_quantum()
             cur.state = _TS_READY
             self.ready.enqueue(cur, front=True)
-            self.stats.thread_preemptions += 1
             self._switch_to(self.ready.pop_highest())
             return
         if cur.quantum_expired_flag and self.ready.has_ready_at(cur.priority):
@@ -1453,8 +1382,8 @@ class Kernel:
         Called from the idle branch of :meth:`_dispatch` once the cheap
         guards have passed: kernel booted (stock clock ISR on "pit"), CPU
         fully idle (no ISR/DPC/thread frames -- a dispatch precondition),
-        no pending vectors, no queued DPCs, tracing off, no RNG-drawing
-        PIT hooks, and the engine inside ``run_until`` (a horizon exists).
+        no pending vectors, no queued DPCs, no RNG-drawing PIT hooks, and
+        the engine inside ``run_until`` (a horizon exists).
 
         Eligibility is then decided against the heap: the next live event
         must be the PIT tick itself, and every settled tick's full
@@ -1528,8 +1457,9 @@ class Kernel:
         engine.now = t_last + tick_cost
         # Replicate what k interpreted ticks would have recorded: three
         # events and three seqs per tick (re-arm, delivery run, ISR-body
-        # run), one delivered interrupt, one generator frame, one idle
-        # re-entry each.
+        # run), one PIT tick, one delivered "pit" interrupt (the total,
+        # per_vector and an ISR nest depth of one) and one generator
+        # frame each.
         spt = 1 + (d1 > 0) + (d2 > 0)
         seq0 = engine._seq
         engine._seq = seq0 + spt * k
@@ -1538,11 +1468,8 @@ class Kernel:
         engine.spans_fast_forwarded += 1
         engine.ticks_fast_forwarded += k
         pit.ticks += k
-        vector = self._pit_vector
-        vector.assertions += k
         stats = self.stats
         stats.interrupts_delivered += k
-        stats.idle_entries += k
         per_vector = stats.per_vector
         per_vector["pit"] = per_vector.get("pit", 0) + k
         if stats.isr_nest_max < 1:
@@ -1559,15 +1486,10 @@ class Kernel:
         assert thread is not None
         previous = self.current_thread
         thread.state = _TS_RUNNING
-        thread.dispatches += 1
         thread.quantum_expired_flag = False
         self.current_thread = thread
         self._start_quantum(thread)
         self.stats.context_switches += 1
-        if self.trace.enabled:
-            self.trace.emit(
-                self.engine.now, "sched", f"switch {thread.name}", prio=thread.priority
-            )
         cost = self._context_switch_cost if previous is not thread else 0
         self._resume_frame(thread.frame, extra_cycles=cost)
 
@@ -1614,7 +1536,6 @@ class Kernel:
         self._decay_boost(thread)
         self.ready.enqueue(thread, front=False)
         self.current_thread = None
-        self.stats.quantum_rotations += 1
         self._dispatch()
 
     def _maybe_rotate_quantum(self, thread: KThread) -> bool:
@@ -1661,8 +1582,6 @@ class Kernel:
             return  # cancelled between collection and firing
         if timer.due_cycles > self.engine.now:
             return  # re-armed for the future in the meantime
-        timer.expirations += 1
-        self.stats.timer_expirations += 1
         timer.signaled = True
         if timer.period_ms is not None:
             timer.due_cycles = self.engine.now + self.clock.ms_to_cycles(timer.period_ms)

@@ -29,12 +29,11 @@ class DispatcherObject:
 
     # Dispatcher objects sit on the wait/wake hot paths; slotted layouts
     # (here and in each subclass) keep state loads off per-instance dicts.
-    __slots__ = ("name", "waiters", "signal_count")
+    __slots__ = ("name", "waiters")
 
     def __init__(self, name: str = ""):
         self.name = name
         self.waiters: List["KThread"] = []
-        self.signal_count = 0
 
     # -- interface used by the kernel wait machinery -------------------
     def is_signaled(self) -> bool:
@@ -92,7 +91,6 @@ class KEvent(DispatcherObject):
     def set(self) -> None:
         """``KeSetEvent``: raw state change (kernel wakes waiters)."""
         self.signaled = True
-        self.signal_count += 1
 
     def clear(self) -> None:
         """``KeClearEvent``."""
@@ -138,7 +136,6 @@ class KSemaphore(DispatcherObject):
         if self.count + adjustment > self.maximum:
             raise OverflowError(f"semaphore {self.name!r} over maximum")
         self.count += adjustment
-        self.signal_count += 1
 
     def take_waiters_to_wake(self) -> List["KThread"]:
         woken: List["KThread"] = []
@@ -156,13 +153,12 @@ class KMutex(DispatcherObject):
     recursion level and, at zero, hands the mutex to the next waiter FIFO.
     """
 
-    __slots__ = ("owner", "recursion", "acquisitions")
+    __slots__ = ("owner", "recursion")
 
     def __init__(self, name: str = ""):
         super().__init__(name=name)
         self.owner: Optional["KThread"] = None
         self.recursion = 0
-        self.acquisitions = 0
 
     def is_signaled(self) -> bool:
         return self.owner is None
@@ -178,7 +174,6 @@ class KMutex(DispatcherObject):
             self.recursion += 1
         else:  # pragma: no cover - guarded by can_satisfy
             raise RuntimeError(f"mutex {self.name!r} consumed while owned")
-        self.acquisitions += 1
 
     def release(self, thread: "KThread") -> bool:
         """Drop one recursion level; returns True when fully released.
@@ -195,7 +190,6 @@ class KMutex(DispatcherObject):
         if self.recursion > 0:
             return False
         self.owner = None
-        self.signal_count += 1
         return True
 
     def take_waiters_to_wake(self) -> List["KThread"]:
@@ -204,7 +198,6 @@ class KMutex(DispatcherObject):
         next_owner = self.waiters.pop(0)
         self.owner = next_owner
         self.recursion = 1
-        self.acquisitions += 1
         return [next_owner]
 
 
@@ -218,7 +211,7 @@ class KTimer(DispatcherObject):
     this); ``period_ms`` models them.
     """
 
-    __slots__ = ("signaled", "due_cycles", "period_ms", "dpc", "expirations")
+    __slots__ = ("signaled", "due_cycles", "period_ms", "dpc")
 
     def __init__(self, name: str = ""):
         super().__init__(name=name)
@@ -226,11 +219,6 @@ class KTimer(DispatcherObject):
         self.due_cycles: Optional[int] = None
         self.period_ms: Optional[float] = None
         self.dpc: Optional["Dpc"] = None
-        self.expirations = 0
-
-    @property
-    def armed(self) -> bool:
-        return self.due_cycles is not None
 
     def is_signaled(self) -> bool:
         return self.signaled

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Callable, Deque, List, Optional
+from typing import Deque, List, Optional
 
 REALTIME_PRIORITY_MIN = 16
 REALTIME_PRIORITY_MAX = 31
@@ -35,9 +35,8 @@ class KThread:
     """A kernel-mode thread.
 
     Attributes:
-        name: Identifier for traces/diagnostics.
+        name: Identifier for diagnostics.
         priority: Win32 priority 1-31.
-        body: ``body(kernel, thread)`` returning the thread's generator.
         module: Cause-tool module label for code this thread runs.
         system: Marks kernel-internal threads (work-item servicer, the
             Win98 "VMM section" executor) so reports can separate them from
@@ -50,7 +49,6 @@ class KThread:
         "name",
         "priority",
         "base_priority",
-        "body",
         "module",
         "system",
         "state",
@@ -59,9 +57,6 @@ class KThread:
         "wait_any_objs",
         "wait_timeout_handle",
         "quantum_expired_flag",
-        "dispatches",
-        "cycles_used",
-        "waits_satisfied",
         "quantum_expiries",
     )
 
@@ -69,7 +64,6 @@ class KThread:
         self,
         name: str,
         priority: int,
-        body: Callable,
         module: str = "APP",
         system: bool = False,
     ):
@@ -82,7 +76,6 @@ class KThread:
         #: Static priority; ``priority`` may sit above it temporarily when
         #: a wait-satisfaction boost is in effect (normal class only).
         self.base_priority = priority
-        self.body = body
         self.module = module
         self.system = system
         self.state = ThreadState.INITIALIZED
@@ -91,10 +84,6 @@ class KThread:
         self.wait_any_objs = None  # tuple during a WaitAny, else None
         self.wait_timeout_handle = None
         self.quantum_expired_flag = False
-        # -- statistics --
-        self.dispatches = 0
-        self.cycles_used = 0
-        self.waits_satisfied = 0
         self.quantum_expiries = 0
 
     @property

@@ -35,6 +35,7 @@ class LoopThread:
         self._ready = threading.Event()
         self._error: Optional[BaseException] = None
         self._finished = False
+        # Holds the drain task: the event loop keeps tasks only weakly.
         self._stopper: Optional[asyncio.Task] = None
 
     def start(self):

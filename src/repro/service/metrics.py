@@ -38,6 +38,7 @@ COUNTERS = (
     "pool_restarts",      # broken worker pools replaced by a fresh one
     "too_large",          # results refused: over the protocol's line cap
     "heartbeats",         # heartbeat pings (router probes) answered
+    "register_refused",   # register replies other than ok (then retried)
     # Engine execution counters aggregated across simulated (non-cached)
     # runs -- virtual-time fast-forward and compiled-tape observability
     # (see docs/ARCHITECTURE.md "Virtual-time fast-forward").

@@ -60,7 +60,7 @@ help: the same cell encodes to the same size.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.campaign import _jsonable
 from repro.core.experiment import ExperimentConfig
@@ -188,8 +188,17 @@ def config_from_wire(payload: Dict[str, Any]) -> ExperimentConfig:
 
 
 # ----------------------------------------------------------------------
-# Message framing
+# Endpoints and message framing
 # ----------------------------------------------------------------------
+def parse_endpoint(text: str) -> Tuple[str, int]:
+    """Split ``"HOST:PORT"`` into ``(host, port)``; an empty host means
+    ``127.0.0.1``.  Raises :class:`ValueError` on anything else."""
+    host, colon, port = text.rpartition(":")
+    if colon and port.isascii() and port.isdigit() and 1 <= int(port) <= 65535:
+        return host or "127.0.0.1", int(port)
+    raise ValueError(f"expected HOST:PORT with port 1..65535, got {text!r}")
+
+
 def encode_message(payload: Dict[str, Any]) -> bytes:
     """One NDJSON line, versioned and ready for the socket.
 

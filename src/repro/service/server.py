@@ -51,9 +51,11 @@ from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
     ProtocolError,
     config_from_wire,
+    decode_message,
     encode_message,
     error_response,
     ok_response,
+    parse_endpoint,
     request,
 )
 from repro.service.store import ResultStore
@@ -67,8 +69,12 @@ MAX_FINISHED_JOBS = 1024
 OVERLOADED_RETRY_AFTER_S = 0.5
 
 #: Pause before a worker registers again after the router closed its
-#: registration connection or could not be reached.
+#: registration connection, refused the registration or could not be
+#: reached.
 REGISTER_RETRY_S = 1.0
+
+#: Bind hosts that mean "every interface": no router can dial them back.
+_WILDCARD_HOSTS = ("", "0.0.0.0", "::")
 
 
 def _run_cell_serialized(config: ExperimentConfig) -> tuple:
@@ -118,12 +124,18 @@ class ServiceConfig:
         register_with: ``"host:port"`` of a fleet router to self-register
             with (``python -m repro serve --register``).  The worker
             announces itself on start and again whenever the router
-            closes the registration connection; an unreachable router is
-            retried forever, never fatal.
+            closes the registration connection or refuses it; an
+            unreachable router is retried forever, never fatal.  A
+            malformed value raises :class:`ValueError` here.
         worker_name: Stable name on the router's hash ring; defaults to
-            ``"host:port"`` of this worker's own listening socket.
-        advertise_host: Host the router should dial back (defaults to
-            the bind host -- override when binding ``0.0.0.0``).
+            ``"host:port"`` of the advertised host and this worker's own
+            listening port.
+        advertise_host: Host the router should dial back.  Defaults to
+            the bind host; with a wildcard bind (``""``, ``0.0.0.0`` or
+            ``::``) it defaults to the local address of the worker's
+            first connection to the router, the interface the router is
+            reached through, and the advertised port is that of the
+            listener in the same address family.
     """
 
     host: str = "127.0.0.1"
@@ -142,6 +154,8 @@ class ServiceConfig:
             raise ValueError(f"queue_limit must be >= 1, got {self.queue_limit}")
         if self.max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
+        if self.register_with is not None:
+            parse_endpoint(self.register_with)
 
 
 class Job:
@@ -298,33 +312,50 @@ class ExperimentService(NdjsonServer):
     async def _register_loop(self) -> None:
         """Register with the router, and again each time it hangs up.
 
-        One NDJSON connection per registration: ``register`` once, then
-        the worker sends nothing and holds the connection idle until the
-        router closes it (its drain, a restart, a reset).  The router's
-        own probes judge this worker's health.  After the close, or a
-        failed attempt, the worker waits ``REGISTER_RETRY_S`` and
-        registers again -- a restarted router relearns the fleet from
-        these.
+        One NDJSON connection per registration: ``register`` once, then,
+        if the router replies ``ok``, the worker sends nothing and holds
+        the connection idle until the router closes it (its drain, a
+        restart, a reset).  The router's own probes judge this worker's
+        health.  Any other reply counts ``register_refused`` and closes
+        the connection.  After the close, or a failed attempt, the worker
+        waits ``REGISTER_RETRY_S`` and registers again -- a restarted
+        router relearns the fleet from these.
         """
-        router_host, _, router_port = self.config.register_with.rpartition(":")
-        router_host = router_host or "127.0.0.1"
+        router_host, router_port = parse_endpoint(self.config.register_with)
         advertise = self.config.advertise_host or self.config.host
-        name = self.config.worker_name or f"{advertise}:{self.port}"
+        if advertise in _WILDCARD_HOSTS:
+            advertise = None  # learned from the first connection
+        port = self.port
+        name = self.config.worker_name or None
         while True:
             writer = None
             try:
                 reader, writer = await asyncio.open_connection(
-                    router_host, int(router_port)
+                    router_host, router_port
                 )
+                if advertise is None:
+                    local = writer.get_extra_info("socket")
+                    advertise = local.getsockname()[0]
+                    # A wildcard bind on port 0 listens on one ephemeral
+                    # port per address family: advertise the matching one.
+                    port = next((s.getsockname()[1] for s in self._server.sockets
+                                 if s.family == local.family), port)
+                if name is None:
+                    name = f"{advertise}:{port}"
                 writer.write(encode_message(request(
-                    "register", name=name, host=advertise, port=self.port,
+                    "register", name=name, host=advertise, port=port,
                 )))
                 await writer.drain()
-                if await reader.readline():
+                reply = await reader.readline()
+                if reply and decode_message(reply).get("ok") is True:
                     # The router never writes on this connection again,
                     # so this read returns only when the router closes it.
                     await reader.readline()
-            except (ConnectionError, OSError, ValueError):
+                elif reply:
+                    self.metrics.count("register_refused")
+            except ProtocolError:  # an unreadable reply is a refusal too
+                self.metrics.count("register_refused")
+            except (ConnectionError, OSError):
                 pass
             finally:
                 if writer is not None:

@@ -10,14 +10,11 @@ else in :mod:`repro` is built on:
 * :class:`repro.sim.rng.RngStream` and the duration-distribution helpers in
   :mod:`repro.sim.rng` -- named, independently-seeded randomness so a whole
   measurement campaign is reproducible from a single seed.
-* :class:`repro.sim.trace.TraceLog` -- an optional structured event trace
-  used by tests and the latency-cause tooling.
 """
 
 from repro.sim.clock import CpuClock
 from repro.sim.engine import Engine, EventHandle
 from repro.sim.rng import DurationDistribution, RngStream
-from repro.sim.trace import TraceLog
 
 __all__ = [
     "CpuClock",
@@ -25,5 +22,4 @@ __all__ = [
     "Engine",
     "EventHandle",
     "RngStream",
-    "TraceLog",
 ]

@@ -10,8 +10,8 @@ from repro.kernel.profile import OsProfile
 BARE_PROFILE = OsProfile(name="bare")
 
 
-def make_machine(pit_hz: float = 1000.0, seed: int = 7, **kwargs) -> Machine:
-    return Machine(MachineConfig(pit_hz=pit_hz, **kwargs), seed=seed)
+def make_machine(pit_hz: float = 1000.0, seed: int = 7) -> Machine:
+    return Machine(MachineConfig(pit_hz=pit_hz), seed=seed)
 
 
 def make_bare_kernel(pit_hz: float = 1000.0, seed: int = 7, boot: bool = False):

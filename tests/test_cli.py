@@ -1,8 +1,12 @@
 """The ``python -m repro`` command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import main
+
+SPEC = Path(__file__).resolve().parent.parent / "scenarios" / "figure4_sweep.yaml"
 
 
 class TestCli:
@@ -55,6 +59,7 @@ class TestFlagValidation:
         assert err.startswith("repro: error:")
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+        return err
 
     def test_negative_duration_exits_2(self, capsys):
         assert main(["measure", "--duration", "-5"]) == 2
@@ -88,6 +93,14 @@ class TestFlagValidation:
     def test_out_of_range_port_exits_2(self, capsys):
         assert main(["serve", "--port", "70000"]) == 2
         self._assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["submit", "--router", "127.0.0.1:abc"],
+        ["run-scenario", str(SPEC), "--router", "127.0.0.1:99999"],
+    ], ids=["submit-port-abc", "run-scenario-port-99999"])
+    def test_malformed_router_exits_2_naming_it(self, argv, capsys):
+        assert main(argv) == 2
+        assert self._assert_one_line_error(capsys).startswith("repro: error: --router")
 
     def test_version_flag(self, capsys):
         from repro import __version__

@@ -18,11 +18,15 @@ The acceptance criteria under test:
 * **Tiered admission** -- per-client quota and lane bounds shed with
   ``overloaded`` + ``retry_after_s``, never queue.
 * **One membership path** -- ``register`` is how a worker joins, and
-  joins again after its own or the router's restart; the router's probes
-  alone mark a dead worker down.
+  joins again after its own or the router's restart or a refusal; a
+  worker bound to every interface advertises an address the router can
+  dial; the router's probes alone mark a dead worker down.
 * **Typed unavailability** -- transport death surfaces as
   :class:`ServiceUnavailable`, and a broken ``stream_results`` reports
   exactly the cache keys it never delivered.
+* **The scenario CLI through a router** -- ``run-scenario --router`` and
+  ``submit --router --scenario --json`` print, in spec order, what the
+  serial path computes, and a rerun is served from the router's store.
 """
 
 import asyncio
@@ -34,6 +38,7 @@ from collections import Counter
 
 import pytest
 
+from repro.__main__ import main
 from repro.core.campaign import cache_key, run_campaign
 from repro.core.experiment import ExperimentConfig
 from repro.core.export import sample_set_to_json
@@ -51,6 +56,7 @@ from repro.service import (
     ServiceUnavailable,
     protocol,
 )
+from repro.scenarios import load_scenario
 from repro.service import client as client_module
 
 #: Short cells keep the module fast; determinism is duration-independent.
@@ -261,6 +267,12 @@ def _registry_entry(router, name):
     return next(worker for worker in workers if worker["name"] == name)
 
 
+def _counters(tier):
+    """The ``stats`` counters of a started RouterThread or ServiceThread."""
+    with ServiceClient(port=tier.port) as client:
+        return client.stats()["counters"]
+
+
 class TestMembership:
     def test_restarted_worker_serves_its_first_routed_cell(self):
         # Probes too slow to run during the test: only registration can
@@ -325,6 +337,46 @@ class TestMembership:
             router.stop()
         assert entry["state"] == "down"
         assert entry["forwards"] == 0  # no submit was needed to notice
+
+    def test_wildcard_bound_worker_advertises_a_dialable_host(self):
+        router = RouterThread(heartbeat_interval_s=0.2).start()
+        worker = ServiceThread(host="",
+                               register_with=f"127.0.0.1:{router.port}").start()
+        try:
+            _wait_live(router, 1, deadline_s=5.0)
+            config = _config()
+            with ServiceClient(port=router.port) as client:
+                (entry,) = client.fleet_stats()["registry"]["workers"]
+                served = client.submit(config, as_text=True)
+        finally:
+            worker.stop()
+            router.stop()
+        assert entry["host"] == "127.0.0.1"
+        # The name defaults to the advertised host and port.
+        assert entry["name"] == f"127.0.0.1:{entry['port']}"
+        assert served == _serial_bytes(config)
+
+    def test_refused_registration_is_counted_and_retried(self):
+        attempts = []
+
+        def refuse(msg):
+            attempts.append(msg["verb"])
+            return protocol.error_response(msg.get("id"), "bad-request", "no")
+
+        # The scripted router keeps the connection open after refusing, so
+        # only the worker's reading of the reply can start a second try.
+        with _ScriptedServer(refuse) as router:
+            worker = ServiceThread(register_with=f"127.0.0.1:{router.port}",
+                                   worker_name="w0").start()
+            try:
+                deadline = time.monotonic() + 3.5
+                while len(attempts) < 2 and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                counters = _counters(worker)
+            finally:
+                worker.stop()
+        assert attempts[:2] == ["register", "register"]
+        assert counters["register_refused"] >= 1
 
 
 class TestRouterDeterminism:
@@ -430,6 +482,70 @@ class TestRouterDeterminism:
                 worker.stop()
             router.stop()
         assert results == serial
+
+
+# ----------------------------------------------------------------------
+# The scenario CLI through a router
+# ----------------------------------------------------------------------
+_ROUTED_SPEC = """\
+scenario: routed-pair
+os: win98
+workload: games
+duration_s: 0.5
+matrix:
+  seed: [1, 2]
+"""
+
+
+@pytest.fixture(scope="class")
+def routed_scenario(tmp_path_factory):
+    """A router and one registered worker on a shared store, plus a
+    two-cell spec file and its loaded scenario."""
+    store = tmp_path_factory.mktemp("store")
+    spec = tmp_path_factory.mktemp("spec") / "routed_pair.yaml"
+    spec.write_text(_ROUTED_SPEC)
+    router = RouterThread(cache_dir=store, heartbeat_interval_s=0.2).start()
+    worker = ServiceThread(cache_dir=store,
+                           register_with=f"127.0.0.1:{router.port}",
+                           worker_name="w0").start()
+    try:
+        _wait_live(router, 1)
+        yield router, worker, spec, load_scenario(spec)
+    finally:
+        worker.stop()
+        router.stop()
+
+
+class TestScenarioCliThroughRouter:
+    def test_run_scenario_prints_each_cell_in_spec_order(self, routed_scenario,
+                                                         capsys):
+        router, _, spec, scenario = routed_scenario
+        assert main(["run-scenario", str(spec),
+                     "--router", f"127.0.0.1:{router.port}"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(scenario.cells) == 2
+        for line, cell in zip(lines, scenario.cells):
+            assert line.startswith(f"{cell.label}: ")
+            assert line.endswith(f"[{cell.cache_key[:12]}]")
+
+    def test_submit_scenario_json_prints_serial_bytes(self, routed_scenario,
+                                                      capsys):
+        router, _, spec, scenario = routed_scenario
+        assert main(["submit", "--router", f"127.0.0.1:{router.port}",
+                     "--scenario", str(spec), "--json"]) == 0
+        serial = run_campaign(list(scenario.configs)).sample_sets
+        expected = "".join(sample_set_to_json(ss) + "\n" for ss in serial)
+        assert capsys.readouterr().out == expected
+
+    def test_rerun_is_served_from_the_router_store(self, routed_scenario):
+        router, worker, spec, _ = routed_scenario
+        argv = ["run-scenario", str(spec), "--router", f"127.0.0.1:{router.port}"]
+        assert main(argv) == 0
+        hits = _counters(router)["cache_hits"]
+        simulations = _counters(worker)["simulations"]
+        assert main(argv) == 0
+        assert _counters(router)["cache_hits"] == hits + 2
+        assert _counters(worker)["simulations"] == simulations
 
 
 # ----------------------------------------------------------------------

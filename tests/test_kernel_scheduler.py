@@ -16,7 +16,7 @@ from tests.conftest import make_bare_kernel
 
 class TestReadyQueues:
     def make_thread(self, name, priority):
-        thread = KThread(name, priority, body=lambda k, t: iter(()))
+        thread = KThread(name, priority)
         thread.state = ThreadState.READY
         return thread
 
@@ -49,7 +49,7 @@ class TestReadyQueues:
 
     def test_enqueue_requires_ready_state(self):
         queues = ReadyQueues()
-        thread = KThread("t", 8, body=lambda k, t: iter(()))
+        thread = KThread("t", 8)
         with pytest.raises(RuntimeError):
             queues.enqueue(thread)
 
@@ -67,14 +67,14 @@ class TestReadyQueues:
 
     def test_invalid_priority_rejected(self):
         with pytest.raises(ValueError):
-            KThread("bad", 0, body=lambda k, t: iter(()))
+            KThread("bad", 0)
         with pytest.raises(ValueError):
-            KThread("bad", 32, body=lambda k, t: iter(()))
+            KThread("bad", 32)
 
     def test_realtime_default(self):
         assert REALTIME_PRIORITY_DEFAULT == 24
-        assert KThread("rt", 24, body=lambda k, t: iter(())).realtime
-        assert not KThread("n", 15, body=lambda k, t: iter(())).realtime
+        assert KThread("rt", 24).realtime
+        assert not KThread("n", 15).realtime
 
 
 class TestSchedulerBehaviour:

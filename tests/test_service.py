@@ -35,6 +35,7 @@ from repro.fleet import FleetRouter
 from repro.service import (
     ExperimentService,
     ServiceClient,
+    ServiceConfig,
     ServiceError,
     ServiceThread,
     ServiceUnavailable,
@@ -462,16 +463,21 @@ class TestGracefulShutdown:
 # ----------------------------------------------------------------------
 # The CLI: python -m repro serve / submit (real processes, SIGTERM drain)
 # ----------------------------------------------------------------------
+def _cli_env():
+    """The environment for ``python -m repro`` run from this checkout."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
 class TestServeCli:
     @pytest.fixture()
     def server_process(self, tmp_path):
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         process = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
              "--cache-dir", str(tmp_path / "cache")],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True,
         )
         banner = process.stdout.readline()
@@ -516,3 +522,16 @@ class TestServeCli:
         rc = main(["submit", "--port", "1", "--duration", "2"])
         assert rc == 1
         assert "cannot reach service" in capsys.readouterr().err
+
+    def test_malformed_register_endpoint_exits_2(self):
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--register",
+             "localhost:notaport"],
+            env=_cli_env(), capture_output=True, text=True, timeout=30,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("repro: error: --register")
+
+    def test_service_config_rejects_a_malformed_register_endpoint(self):
+        with pytest.raises(ValueError, match="HOST:PORT"):
+            ServiceConfig(register_with="localhost:notaport")

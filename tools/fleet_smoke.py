@@ -4,9 +4,11 @@
 Boots a real ``python -m repro route`` subprocess plus two
 ``python -m repro serve --register`` worker subprocesses sharing one
 result-store directory, then checks the fleet acceptance criteria over
-real TCP:
+real TCP.  Worker ``w1`` binds every interface (``--host 0.0.0.0``, no
+``--advertise-host``), the way a worker on another machine would run.
 
-1. Both workers register and go live on the router's hash ring.
+1. Both workers register and go live on the router's hash ring, and the
+   router holds a dialable host for ``w1``, not ``0.0.0.0``.
 2. A mixed batch submitted *through the router* is byte-identical to a
    serial ``run_campaign`` of the same configs.
 3. SIGTERM of one worker drains cleanly (exit 0, drain banner) and a
@@ -49,6 +51,8 @@ BATCH = [
                      duration_s=DURATION_S, seed=2000),
 ]
 WORKER_NAMES = ("w0", "w1")
+#: Bound to every interface; it must advertise a host the router can dial.
+WILDCARD_WORKER = "w1"
 
 
 def _spawn(argv, env):
@@ -111,11 +115,12 @@ def main() -> int:
             router_port = _port_from_banner(router, "router")
 
             def launch(name):
+                bind = ["--host", "0.0.0.0"] if name == WILDCARD_WORKER else []
                 worker = _spawn(
                     [sys.executable, "-m", "repro", "serve", "--port", "0",
                      "--cache-dir", cache_dir,
                      "--register", f"127.0.0.1:{router_port}",
-                     "--name", name],
+                     "--name", name, *bind],
                     env,
                 )
                 procs.append(worker)
@@ -125,7 +130,13 @@ def main() -> int:
             workers = {name: launch(name) for name in WORKER_NAMES}
 
             _wait_live(router_port, expected=len(WORKER_NAMES))
-            print(f"fleet live: {len(WORKER_NAMES)} workers registered")
+            with ServiceClient(port=router_port) as client:
+                fleet = client.fleet_stats()
+            hosts = {w["name"]: w["host"] for w in fleet["registry"]["workers"]}
+            assert hosts[WILDCARD_WORKER] not in ("0.0.0.0", ""), \
+                f"{WILDCARD_WORKER} advertised its wildcard bind ({hosts})"
+            print(f"fleet live: {len(WORKER_NAMES)} workers registered "
+                  f"(hosts={hosts})")
 
             with ServiceClient(port=router_port) as client:
                 served = [client.submit(config, as_text=True)
