@@ -56,6 +56,15 @@ CACHE_SCHEMA = "repro.campaign_cache/2"
 # ----------------------------------------------------------------------
 # Config fingerprinting
 # ----------------------------------------------------------------------
+#: Types :func:`_jsonable` returns as they are.  Exact types only: an
+#: ``IntEnum`` is an ``int`` but must still reduce as an enum.
+_PRIMITIVES = frozenset((str, int, float, bool, type(None)))
+
+#: Field names per type :func:`_jsonable` has met; ``None`` marks a type
+#: that is not a dataclass.
+_FIELD_NAMES: Dict[type, Optional[Tuple[str, ...]]] = {}
+
+
 def _jsonable(value):
     """Reduce a config value to canonical JSON-compatible primitives.
 
@@ -63,12 +72,21 @@ def _jsonable(value):
     field values cannot collide; enums reduce to their value; tuples and
     lists both reduce to lists (configs use tuples for immutability only).
     """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        payload = {
-            f.name: _jsonable(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-        return {"__dataclass__": type(value).__name__, **payload}
+    kind = type(value)
+    if kind in _PRIMITIVES:
+        return value
+    try:
+        names = _FIELD_NAMES[kind]
+    except KeyError:
+        names = _FIELD_NAMES[kind] = (
+            tuple(f.name for f in dataclasses.fields(kind))
+            if dataclasses.is_dataclass(kind) else None
+        )
+    if names is not None:
+        payload = {"__dataclass__": kind.__name__}
+        for name in names:
+            payload[name] = _jsonable(getattr(value, name))
+        return payload
     if isinstance(value, enum.Enum):
         return {"__enum__": type(value).__name__, "value": value.value}
     if isinstance(value, (tuple, list)):
@@ -99,6 +117,12 @@ def config_fingerprint(config: ExperimentConfig) -> str:
 def cache_key(config: ExperimentConfig) -> str:
     """Content address of one cell: SHA-256 hex of its fingerprint."""
     return hashlib.sha256(config_fingerprint(config).encode("utf-8")).hexdigest()
+
+
+def json_literal(serialized: str) -> bytes:
+    """``serialized`` as the quoted JSON string literal that cache files and
+    result messages carry, escaped with ``json.dumps`` defaults (ASCII)."""
+    return json.dumps(serialized).encode("ascii")
 
 
 # ----------------------------------------------------------------------
@@ -178,8 +202,9 @@ class CampaignCache:
     def get_serialized(self, config: ExperimentConfig) -> Optional[str]:
         """Cached :func:`sample_set_to_json` text for ``config``, or ``None``.
 
-        The byte-exact form :func:`put` stored -- the serving layer ships
-        this straight over the wire without a decode/re-encode cycle.
+        The byte-exact form :func:`put` stored -- the serving layer escapes
+        it once into its :func:`json_literal` and never decodes the
+        sample set itself.
         """
         serialized = self._load_serialized(config)
         if serialized is None:
@@ -209,18 +234,26 @@ class CampaignCache:
 
     def put_serialized(self, config: ExperimentConfig, serialized: str) -> Path:
         """Store an already-serialized cell (atomic; concurrent-writer safe)."""
+        return self.put_literal(config, json_literal(serialized))
+
+    def put_literal(self, config: ExperimentConfig, literal: bytes) -> Path:
+        """Store a cell given as its :func:`json_literal`, spliced in as is.
+
+        The file is byte-identical to ``json.dumps`` (default separators)
+        of the entry with the decoded text as its last field, so the
+        sample set is escaped once, by whoever made the literal.
+        """
         path = self._path(cache_key(config))
-        payload = json.dumps(
-            {
-                "schema": CACHE_SCHEMA,
-                "fingerprint": config_fingerprint(config),
-                "sample_set": serialized,
-            }
+        head = json.dumps(
+            {"schema": CACHE_SCHEMA, "fingerprint": config_fingerprint(config)}
         )
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(head[:-1].encode("ascii"))
+                handle.write(b', "sample_set": ')
+                handle.write(literal)
+                handle.write(b"}")
             os.replace(tmp, path)
         except BaseException:
             try:

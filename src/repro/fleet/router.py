@@ -349,14 +349,14 @@ class FleetRouter(NdjsonServer):
         self.metrics.count("submitted")
         # The shared store first: any worker may have computed this cell
         # already (including one that is dead now).
-        cached = self.store.get(config, key=key)
+        cached = self.store.get_literal(config, key=key)
         if cached is not None:
             self.metrics.count("cache_hits")
             self.metrics.observe("route", time.monotonic() - t0)
             self.metrics.observe("serve", time.monotonic() - t0)
             if await self._send(writer, ok_response(
-                req_id, status="done", key=key, cached=True, sample_set=cached
-            )):
+                req_id, status="done", key=key, cached=True
+            ), cached):
                 self.metrics.count("served")
             return
         self.metrics.observe("route", time.monotonic() - t0)
@@ -372,14 +372,15 @@ class FleetRouter(NdjsonServer):
         else:
             response.pop("id", None)
         done = response.get("ok") and response.get("status") == "done"
+        literal = None
         if done:
-            serialized = response.get("sample_set")
-            if isinstance(serialized, str):
+            if isinstance(response.get("sample_set"), str):
                 # Warm the router's hot LRU (and the shared store, when
-                # the worker wrote to a different directory).
-                self.store.put(config, serialized, key=key)
+                # the worker wrote to a different directory), and relay
+                # the literal it keeps: the field is the worker's last.
+                literal = self.store.put(config, response.pop("sample_set"), key=key)
             self.metrics.observe("serve", time.monotonic() - t0)
-        if await self._send(writer, response) and done:
+        if await self._send(writer, response, literal) and done:
             self.metrics.count("served")
 
     async def _forward_submit(self, msg, key: str, req_id) -> dict:

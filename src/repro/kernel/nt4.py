@@ -42,7 +42,6 @@ NT4_PROFILE = OsProfile(
     clock_isr_us=4.5,
     dpc_dispatch_us=1.5,
     timer_expiry_us=1.0,
-    wait_satisfy_us=1.2,
     work_item_thread=True,
     work_item_priority=24,
 )

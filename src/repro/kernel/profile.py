@@ -33,8 +33,6 @@ class OsProfile:
         clock_isr_us: Body of the OS clock (PIT) ISR.
         dpc_dispatch_us: Per-DPC dequeue/dispatch overhead.
         timer_expiry_us: Clock-ISR cost per expired timer processed.
-        wait_satisfy_us: Dispatcher cost to satisfy a wait (runs in the
-            signalling context).
         work_item_thread: Whether a kernel work-item queue exists, serviced
             by a dedicated thread (NT).  The paper: "The WDM 'kernel work
             item' queue is serviced by a real-time default priority thread,
@@ -58,7 +56,6 @@ class OsProfile:
     clock_isr_us: float = 4.0
     dpc_dispatch_us: float = 1.5
     timer_expiry_us: float = 1.0
-    wait_satisfy_us: float = 1.2
     work_item_thread: bool = False
     work_item_priority: int = 24
     wait_boost: int = 2
@@ -72,7 +69,6 @@ class OsProfile:
             clock_isr=clock.us_to_cycles(self.clock_isr_us),
             dpc_dispatch=clock.us_to_cycles(self.dpc_dispatch_us),
             timer_expiry=clock.us_to_cycles(self.timer_expiry_us),
-            wait_satisfy=clock.us_to_cycles(self.wait_satisfy_us),
         )
 
 
@@ -86,4 +82,3 @@ class OsProfileCycles:
     clock_isr: int
     dpc_dispatch: int
     timer_expiry: int
-    wait_satisfy: int

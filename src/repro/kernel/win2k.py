@@ -44,7 +44,6 @@ WIN2K_PROFILE = OsProfile(
     clock_isr_us=3.8,
     dpc_dispatch_us=1.1,
     timer_expiry_us=0.8,
-    wait_satisfy_us=1.0,
     work_item_thread=True,
     work_item_priority=24,
 )

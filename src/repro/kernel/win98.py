@@ -44,7 +44,6 @@ WIN98_PROFILE = OsProfile(
     clock_isr_us=6.0,
     dpc_dispatch_us=4.0,
     timer_expiry_us=1.5,
-    wait_satisfy_us=2.5,
     work_item_thread=False,
 )
 

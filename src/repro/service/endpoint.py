@@ -3,13 +3,14 @@
 :class:`NdjsonServer` is what :class:`~repro.service.server.ExperimentService`
 and :class:`~repro.fleet.router.FleetRouter` have in common:
 
-* the bind, and the ``port`` it reports;
+* the bind, and the ``port`` it reports, one for every address family;
 * the connection loop: one request line at a time, dispatched through
   the subclass's verb table, with ``bad-request`` and
   ``unsupported-version`` replies for lines that do not parse or name no
   verb of this tier;
-* :meth:`~NdjsonServer._send`, which replaces a reply over the protocol's
-  line cap with a ``too-large`` error;
+* :meth:`~NdjsonServer._send`, which splices a stored result's literal
+  into its reply and replaces a reply over the protocol's line cap with
+  a ``too-large`` error;
 * the drain: an idempotent :meth:`~NdjsonServer.shutdown` that awaits the
   subclass's ``_drain()``, then closes the listener and every connection
   idle in ``readline()`` itself, and the ``shutdown`` verb, which answers
@@ -27,6 +28,7 @@ Python.
 from __future__ import annotations
 
 import asyncio
+import errno
 from typing import Awaitable, Callable, Dict, Optional, Set
 
 from repro.service.protocol import (
@@ -41,6 +43,10 @@ from repro.service.protocol import (
 
 #: ``handler(msg, req_id, writer)``: serve one request and write its reply.
 Handler = Callable[[dict, Optional[str], asyncio.StreamWriter], Awaitable[None]]
+
+#: Binds tried before a wildcard port-0 listener gives up on having one
+#: port for every address family.
+_BIND_ATTEMPTS = 8
 
 
 class NdjsonServer:
@@ -64,14 +70,34 @@ class NdjsonServer:
         self._handlers: Set[asyncio.Task] = set()
 
     async def start(self) -> None:
-        """Bind the socket; ``port`` then reports the real (ephemeral) port."""
-        self._server = await asyncio.start_server(
-            self._handle_conn,
-            host=self.config.host,
-            port=self.config.port,
+        """Bind the socket; ``port`` then reports the real (ephemeral) port.
+
+        A wildcard bind opens one listener per address family, and on port
+        0 each gets its own ephemeral port: every family is then rebound
+        on the first listener's port, so ``port`` is the one port they
+        all use.  Another process can take that port in the gap; the
+        rebind is retried from port 0 up to :data:`_BIND_ATTEMPTS` times.
+        """
+        for attempt in range(1, _BIND_ATTEMPTS + 1):
+            server = await self._bind(self.config.port)
+            port = server.sockets[0].getsockname()[1]
+            if all(s.getsockname()[1] == port for s in server.sockets):
+                break
+            server.close()
+            try:
+                server = await self._bind(port)
+                break
+            except OSError as exc:
+                if exc.errno != errno.EADDRINUSE or attempt == _BIND_ATTEMPTS:
+                    raise
+        self._server = server
+        self.port = port
+
+    async def _bind(self, port: int) -> asyncio.base_events.Server:
+        return await asyncio.start_server(
+            self._handle_conn, host=self.config.host, port=port,
             limit=MAX_LINE_BYTES,
         )
-        self.port = self._server.sockets[0].getsockname()[1]
 
     async def _drain(self) -> int:
         """Finish the work admitted before the drain; return how much."""
@@ -103,11 +129,13 @@ class NdjsonServer:
         if self._handlers:
             await asyncio.wait(self._handlers)
 
-    async def _send(self, writer: asyncio.StreamWriter, payload: dict) -> bool:
-        """Write one message; ``False`` if it would not fit in one line and
-        a ``too-large`` error went out in its place."""
+    async def _send(self, writer: asyncio.StreamWriter, payload: dict,
+                    sample_set: Optional[bytes] = None) -> bool:
+        """Write one message, with a result's JSON string literal spliced in
+        as its ``sample_set``; ``False`` if it would not fit in one line
+        and a ``too-large`` error went out in its place."""
         try:
-            line, fits = encode_message(payload), True
+            line, fits = encode_message(payload, sample_set), True
         except MessageTooLarge as exc:
             self.metrics.count("too_large")
             line, fits = encode_message(

@@ -47,7 +47,12 @@ live worker) telling a well-behaved client when to try again instead of
 hammering a saturated tier.
 
 A result's ``sample_set`` field is one ``repro.sample_set/2`` document
-(:mod:`repro.core.export`) as a JSON string.  No message line may exceed
+(:mod:`repro.core.export`) as a JSON string, always the message's last
+field.  A tier escapes each result into that string literal once, when
+it enters its :class:`~repro.service.store.ResultStore`, and
+:func:`encode_message` splices the literal into every reply that carries
+the result; the line is byte-identical to encoding the decoded text.
+No message line may exceed
 :data:`MAX_LINE_BYTES`: :func:`encode_message` raises
 :class:`MessageTooLarge` instead of producing one, and a worker or router
 whose result would not fit answers ``too-large`` (naming the size and the
@@ -199,14 +204,23 @@ def parse_endpoint(text: str) -> Tuple[str, int]:
     raise ValueError(f"expected HOST:PORT with port 1..65535, got {text!r}")
 
 
-def encode_message(payload: Dict[str, Any]) -> bytes:
+def encode_message(payload: Dict[str, Any], sample_set: Optional[bytes] = None) -> bytes:
     """One NDJSON line, versioned and ready for the socket.
+
+    ``sample_set``, a result's :func:`~repro.core.campaign.json_literal`,
+    is spliced in unescaped as the last field, ``"sample_set"``: the line
+    is byte-identical to encoding ``payload`` with the decoded text as
+    that field.
 
     Raises :class:`MessageTooLarge` if the line would exceed
     :data:`MAX_LINE_BYTES`, which no peer would read.
     """
     payload.setdefault("v", PROTOCOL_VERSION)
-    line = (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
+    head = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    if sample_set is None:
+        line = head + b"\n"
+    else:
+        line = b"".join((head[:-1], b',"sample_set":', sample_set, b"}\n"))
     if len(line) > MAX_LINE_BYTES:
         raise MessageTooLarge(
             f"a {len(line)}-byte message exceeds the {MAX_LINE_BYTES}-byte line cap"

@@ -134,8 +134,7 @@ class ServiceConfig:
             the bind host; with a wildcard bind (``""``, ``0.0.0.0`` or
             ``::``) it defaults to the local address of the worker's
             first connection to the router, the interface the router is
-            reached through, and the advertised port is that of the
-            listener in the same address family.
+            reached through.
     """
 
     host: str = "127.0.0.1"
@@ -167,7 +166,7 @@ class Job:
         "config",
         "state",
         "future",
-        "serialized",
+        "literal",
         "error",
         "enqueued_at",
         "dispatched_at",
@@ -175,13 +174,14 @@ class Job:
     )
 
     def __init__(self, job_id: str, key: str, config: ExperimentConfig,
-                 future: "asyncio.Future[Optional[str]]", enqueued_at: float):
+                 future: "asyncio.Future[None]", enqueued_at: float):
         self.job_id = job_id
         self.key = key
         self.config = config
         self.state = "queued"
         self.future = future
-        self.serialized: Optional[str] = None
+        #: The result's JSON string literal: the object the store keeps.
+        self.literal: Optional[bytes] = None
         self.error: Optional[str] = None
         self.enqueued_at = enqueued_at
         self.dispatched_at: Optional[float] = None
@@ -301,8 +301,7 @@ class ExperimentService(NdjsonServer):
             for name, value in sim_counters.items():
                 self.metrics.count(f"sim_{name}", value)
             self.metrics.observe("execute", time.monotonic() - job.dispatched_at)
-            self.store.put(job.config, serialized, key=job.key)
-            job.serialized = serialized
+            job.literal = self.store.put(job.config, serialized, key=job.key)
             self._finish(job, "done")
         self._start_jobs()
 
@@ -325,7 +324,6 @@ class ExperimentService(NdjsonServer):
         advertise = self.config.advertise_host or self.config.host
         if advertise in _WILDCARD_HOSTS:
             advertise = None  # learned from the first connection
-        port = self.port
         name = self.config.worker_name or None
         while True:
             writer = None
@@ -334,16 +332,11 @@ class ExperimentService(NdjsonServer):
                     router_host, router_port
                 )
                 if advertise is None:
-                    local = writer.get_extra_info("socket")
-                    advertise = local.getsockname()[0]
-                    # A wildcard bind on port 0 listens on one ephemeral
-                    # port per address family: advertise the matching one.
-                    port = next((s.getsockname()[1] for s in self._server.sockets
-                                 if s.family == local.family), port)
+                    advertise = writer.get_extra_info("sockname")[0]
                 if name is None:
-                    name = f"{advertise}:{port}"
+                    name = f"{advertise}:{self.port}"
                 writer.write(encode_message(request(
-                    "register", name=name, host=advertise, port=port,
+                    "register", name=name, host=advertise, port=self.port,
                 )))
                 await writer.drain()
                 reply = await reader.readline()
@@ -371,7 +364,7 @@ class ExperimentService(NdjsonServer):
         self._set_state(job, state)
         self._by_key.pop(job.key, None)
         if not job.future.done():
-            job.future.set_result(job.serialized)
+            job.future.set_result(None)
         self._finished_order.append(job.job_id)
         while len(self._finished_order) > MAX_FINISHED_JOBS:
             stale = self._jobs.get(self._finished_order.popleft())
@@ -407,13 +400,13 @@ class ExperimentService(NdjsonServer):
             await self._send(writer, error_response(req_id, "bad-request", str(exc)))
             return
         key = cache_key(config)
-        cached = self.store.get(config, key=key)
+        cached = self.store.get_literal(config, key=key)
         if cached is not None:
             self.metrics.count("cache_hits")
             self.metrics.observe("serve", time.monotonic() - t0)
             if await self._send(writer, ok_response(
-                req_id, status="done", key=key, cached=True, sample_set=cached
-            )):
+                req_id, status="done", key=key, cached=True
+            ), cached):
                 self.metrics.count("served")
             return
         job = self._by_key.get(key)
@@ -454,10 +447,13 @@ class ExperimentService(NdjsonServer):
     async def _send_result(self, writer, job: Job, req_id, deadline, t0) -> None:
         """Wait for ``job``, then send its cell (or why there is none)."""
         response = await self._await_job(job, req_id, deadline, t0)
-        if await self._send(writer, response) and response["ok"]:
+        literal = job.literal if response["ok"] else None
+        if await self._send(writer, response, literal) and response["ok"]:
             self.metrics.count("served")
 
     async def _await_job(self, job: Job, req_id, deadline, t0) -> dict:
+        """The reply for a finished ``job``, without its result, which the
+        sender splices in."""
         try:
             if deadline is not None:
                 await asyncio.wait_for(asyncio.shield(job.future), deadline)
@@ -479,7 +475,6 @@ class ExperimentService(NdjsonServer):
             job=job.job_id,
             key=job.key,
             cached=False,
-            sample_set=job.serialized,
         )
 
     def _lookup(self, msg, req_id) -> Union[Job, dict]:

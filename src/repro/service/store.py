@@ -6,20 +6,25 @@ service ever serves is also a normal cache entry -- replayable offline by
 the wire.  On top sits a small in-process LRU of serialized cells, so a
 popular config is served from memory without touching disk or JSON.
 
-Results live here as *serialized text* (the exact
-:func:`~repro.core.export.sample_set_to_json` bytes the worker produced):
-the serving path never decodes and re-encodes a sample set, which is both
-faster and what makes the byte-identical determinism guarantee trivial to
-uphold.
+A result is escaped exactly once, when it enters the store (a
+:meth:`~ResultStore.put`, or a disk hit): the LRU keeps its
+:func:`~repro.core.campaign.json_literal`, one object per entry and in
+place of the text, and every cache file and reply that carries the
+result splices that literal in (:meth:`CampaignCache.put_literal
+<repro.core.campaign.CampaignCache.put_literal>`,
+:func:`~repro.service.protocol.encode_message`).  The serving path never
+decodes and re-encodes a sample set, which is both faster and what makes
+the byte-identical determinism guarantee trivial to uphold.
 """
 
 from __future__ import annotations
 
+import json
 from collections import OrderedDict
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.core.campaign import CampaignCache, cache_key
+from repro.core.campaign import CampaignCache, cache_key, json_literal
 from repro.core.experiment import ExperimentConfig
 
 
@@ -35,13 +40,23 @@ class ResultStore:
             raise ValueError(f"hot_capacity must be >= 0, got {hot_capacity}")
         self.cache = CampaignCache(cache_dir) if cache_dir is not None else None
         self.hot_capacity = hot_capacity
-        self._hot: "OrderedDict[str, str]" = OrderedDict()
+        self._hot: "OrderedDict[str, bytes]" = OrderedDict()
         self.hot_hits = 0
         self.disk_hits = 0
         self.misses = 0
 
     def get(self, config: ExperimentConfig, key: Optional[str] = None) -> Optional[str]:
         """Serialized sample-set JSON for ``config``, or ``None``."""
+        literal = self.get_literal(config, key=key)
+        return None if literal is None else json.loads(literal)
+
+    def get_literal(
+        self, config: ExperimentConfig, key: Optional[str] = None
+    ) -> Optional[bytes]:
+        """The stored cell as its JSON string literal, or ``None``.
+
+        A disk hit escapes the stored text once and keeps the literal hot.
+        """
         key = key if key is not None else cache_key(config)
         hot = self._hot.get(key)
         if hot is not None:
@@ -52,8 +67,9 @@ class ResultStore:
             serialized = self.cache.get_serialized(config)
             if serialized is not None:
                 self.disk_hits += 1
-                self._remember(key, serialized)
-                return serialized
+                literal = json_literal(serialized)
+                self._remember(key, literal)
+                return literal
         self.misses += 1
         return None
 
@@ -62,17 +78,23 @@ class ResultStore:
         config: ExperimentConfig,
         serialized: str,
         key: Optional[str] = None,
-    ) -> None:
-        """Persist a finished cell (disk write is atomic) and warm the LRU."""
-        key = key if key is not None else cache_key(config)
-        if self.cache is not None:
-            self.cache.put_serialized(config, serialized)
-        self._remember(key, serialized)
+    ) -> bytes:
+        """Persist a finished cell (disk write is atomic) and warm the LRU.
 
-    def _remember(self, key: str, serialized: str) -> None:
+        Returns the cell's JSON string literal: the one object the LRU
+        keeps for it, which a caller holding on to the result shares.
+        """
+        key = key if key is not None else cache_key(config)
+        literal = json_literal(serialized)
+        if self.cache is not None:
+            self.cache.put_literal(config, literal)
+        self._remember(key, literal)
+        return literal
+
+    def _remember(self, key: str, literal: bytes) -> None:
         if self.hot_capacity == 0:
             return
-        self._hot[key] = serialized
+        self._hot[key] = literal
         self._hot.move_to_end(key)
         while len(self._hot) > self.hot_capacity:
             self._hot.popitem(last=False)

@@ -8,12 +8,16 @@ statistics.
 """
 
 import dataclasses
+import enum
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.core.campaign import (
     CACHE_SCHEMA,
     CampaignCache,
+    _jsonable,
     cache_key,
     config_fingerprint,
     run_campaign,
@@ -24,6 +28,8 @@ from repro.core.export import sample_set_to_json
 from repro.core.replication import replicate_experiment
 from repro.core.worst_case import WorstCaseTable
 from repro.drivers.latency import LatencyToolConfig
+from repro.kernel.dpc import DpcImportance
+from repro.scenarios import load_scenario
 from repro.workloads.perturbations import VIRUS_SCANNER
 
 #: Short cells keep the full module under a few seconds.
@@ -251,6 +257,61 @@ class TestCache:
         assert len(cache) == 0
         run_campaign(_configs(2), cache_dir=tmp_path)
         assert len(cache) == 2
+
+
+def _jsonable_reference(value):
+    """The reduction as first written, one ``dataclasses`` call per node."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        payload = {
+            f.name: _jsonable_reference(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
+        return {"__dataclass__": type(value).__name__, **payload}
+    if isinstance(value, enum.Enum):
+        return {"__enum__": type(value).__name__, "value": value.value}
+    if isinstance(value, (tuple, list)):
+        return [_jsonable_reference(item) for item in value]
+    if isinstance(value, dict):
+        return {str(k): _jsonable_reference(v) for k, v in sorted(value.items())}
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    raise TypeError(f"cannot fingerprint {type(value).__name__!r}")
+
+
+def _reduction_cases():
+    corpus = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.yaml"))
+    configs = [config for path in corpus for config in load_scenario(path).configs]
+    configs.append(ExperimentConfig(
+        extra_profile=VIRUS_SCANNER,
+        tool=LatencyToolConfig(dpc_importance=DpcImportance.HIGH),
+    ))
+    return configs
+
+
+class TestJsonableReduction:
+    @pytest.mark.parametrize("config", _reduction_cases())
+    def test_equals_reference_in_value_and_key_order(self, config):
+        reduced = _jsonable(config)
+        reference = _jsonable_reference(config)
+        assert reduced == reference
+        assert json.dumps(reduced) == json.dumps(reference)
+
+    def test_cases_cover_the_corpus_and_a_load_profile(self):
+        configs = _reduction_cases()
+        assert len(configs) >= 20  # the 19 corpus cells, plus one
+        assert any(config.extra_profile is not None for config in configs)
+
+    def test_int_and_str_enums_still_reduce_as_enums(self):
+        class Level(enum.IntEnum):
+            HIGH = 2
+
+        class Mode(str, enum.Enum):
+            FAST = "fast"
+
+        for member in (Level.HIGH, Mode.FAST, DpcImportance.HIGH):
+            assert _jsonable(member) == _jsonable_reference(member) == {
+                "__enum__": type(member).__name__, "value": member.value,
+            }
 
 
 # ----------------------------------------------------------------------

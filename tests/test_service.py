@@ -17,9 +17,11 @@ pillars under test are the acceptance criteria of the serving layer:
 """
 
 import asyncio
+import errno
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -40,6 +42,7 @@ from repro.service import (
     ServiceThread,
     ServiceUnavailable,
 )
+from repro.service.endpoint import NdjsonServer
 from repro.service.protocol import PROTOCOL_VERSION, encode_message, request
 
 #: Short cells keep the module fast; determinism is duration-independent.
@@ -458,6 +461,54 @@ class TestGracefulShutdown:
                 asker[1].close()
 
         asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# A wildcard bind on port 0: one port for every address family
+# ----------------------------------------------------------------------
+def _has_ipv6_loopback() -> bool:
+    try:
+        with socket.socket(socket.AF_INET6) as sock:
+            sock.bind(("::1", 0))
+    except OSError:
+        return False
+    return True
+
+
+def _listener_ports(server) -> set:
+    return {sock.getsockname()[1] for sock in server.service._server.sockets}
+
+
+class TestWildcardBind:
+    def test_reported_port_answers_on_ipv4_loopback(self):
+        with ServiceThread(host="", port=0) as server:
+            ports = _listener_ports(server)
+            with ServiceClient(host="127.0.0.1", port=server.port, timeout=10) as client:
+                assert client.heartbeat()["alive"] is True
+        assert ports == {server.port}
+
+    @pytest.mark.skipif(not _has_ipv6_loopback(), reason="no IPv6 loopback")
+    def test_reported_port_answers_on_ipv6_loopback(self):
+        with ServiceThread(host="", port=0) as server:
+            with ServiceClient(host="::1", port=server.port, timeout=10) as client:
+                assert client.heartbeat()["alive"] is True
+
+    @pytest.mark.skipif(not _has_ipv6_loopback(), reason="no IPv6 loopback")
+    def test_a_port_taken_before_the_rebind_starts_over(self, monkeypatch):
+        real_bind = NdjsonServer._bind
+        asked = []
+
+        async def bind(self, port):
+            asked.append(port)
+            if len(asked) == 2:  # the first rebind: someone took the port
+                raise OSError(errno.EADDRINUSE, "address already in use")
+            return await real_bind(self, port)
+
+        monkeypatch.setattr(NdjsonServer, "_bind", bind)
+        with ServiceThread(host="", port=0) as server:
+            ports = _listener_ports(server)
+        assert asked[0] == asked[2] == 0 and asked[3] == server.port
+        assert ports == {server.port}
 
 
 # ----------------------------------------------------------------------
