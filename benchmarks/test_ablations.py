@@ -137,14 +137,13 @@ class TestLegacySectionScalingAblation:
 
 class TestWorkItemPriorityAblation:
     def test_moving_worker_off_24_erases_the_penalty(self, benchmark):
-        from repro.kernel.nt4 import build_nt4_kernel
         from repro.kernel.intrusions import WorkItemLoadSpec
         from repro.sim.rng import DurationDistribution, RngStream
 
         worst = {}
         for worker_priority in (24, 16):
             machine = Machine(MachineConfig(), seed=bench_seed())
-            os = build_nt4_kernel(machine)
+            os = boot_os(machine, "nt4")
             os.work_items.kernel.set_thread_priority(os.work_items.thread, worker_priority)
             os.work_items.attach_load(
                 WorkItemLoadSpec(

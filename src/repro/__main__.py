@@ -228,6 +228,13 @@ def _scenario_cell_line(cell, ss) -> str:
             f"worst {worst:.3f} ms  [{cell.cache_key[:12]}]")
 
 
+def _service_error(exc) -> int:
+    """Report a failed service call, with its retry hint; exit status 1."""
+    hint = f" (retry after {exc.retry_after_s}s)" if exc.retry_after_s else ""
+    print(f"repro: error: {exc}{hint}", file=sys.stderr)
+    return 1
+
+
 def cmd_run_scenario(args) -> int:
     scenario = _load_scenario_or_none(args.spec)
     if scenario is None:
@@ -254,10 +261,7 @@ def cmd_run_scenario(args) -> int:
             try:
                 pairs = list(client.submit_scenario(scenario))
             except ServiceError as exc:
-                hint = (f" (retry after {exc.retry_after_s}s)"
-                        if exc.retry_after_s else "")
-                print(f"repro: error: {exc}{hint}", file=sys.stderr)
-                return 1
+                return _service_error(exc)
     else:
         print(f"{scenario.name}: {len(scenario)} cell(s) (jobs={args.jobs})...",
               file=sys.stderr)
@@ -310,10 +314,7 @@ def cmd_submit(args) -> int:
                     else:
                         print(_scenario_cell_line(cell, result))
             except ServiceError as exc:
-                hint = (f" (retry after {exc.retry_after_s}s)"
-                        if exc.retry_after_s else "")
-                print(f"repro: error: {exc}{hint}", file=sys.stderr)
-                return 1
+                return _service_error(exc)
             return 0
         if args.no_wait:
             print(client.submit_nowait(config))
@@ -326,10 +327,7 @@ def cmd_submit(args) -> int:
             sample_set = client.submit(config, deadline_s=args.deadline,
                                        lane=args.lane)
         except ServiceError as exc:
-            hint = (f" (retry after {exc.retry_after_s}s)"
-                    if exc.retry_after_s else "")
-            print(f"repro: error: {exc}{hint}", file=sys.stderr)
-            return 1
+            return _service_error(exc)
     _print_measure_report(sample_set)
     return 0
 
@@ -446,8 +444,9 @@ def main(argv=None) -> int:
     p.add_argument("--port", type=int, default=0,
                    help="TCP port (0 picks an ephemeral port)")
     p.add_argument("--cache-dir", default=None,
-                   help="the shared result store: any cell any worker "
-                        "computed is served without forwarding")
+                   help="the workers' shared result store, read-only "
+                        "here: any cell any worker computed is served "
+                        "without forwarding")
     p.add_argument("--heartbeat-interval", type=float, default=1.0,
                    help="seconds between health probes of each worker")
     p.add_argument("--heartbeat-timeout", type=float, default=5.0,

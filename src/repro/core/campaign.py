@@ -116,7 +116,11 @@ def config_fingerprint(config: ExperimentConfig) -> str:
 
 def cache_key(config: ExperimentConfig) -> str:
     """Content address of one cell: SHA-256 hex of its fingerprint."""
-    return hashlib.sha256(config_fingerprint(config).encode("utf-8")).hexdigest()
+    return _fingerprint_key(config_fingerprint(config))
+
+
+def _fingerprint_key(fingerprint: str) -> str:
+    return hashlib.sha256(fingerprint.encode("utf-8")).hexdigest()
 
 
 def json_literal(serialized: str) -> bytes:
@@ -174,7 +178,8 @@ class CampaignCache:
         quarantined and reported as a miss; only a clean fingerprint
         match returns data.
         """
-        path = self._path(cache_key(config))
+        fingerprint = config_fingerprint(config)
+        path = self._path(_fingerprint_key(fingerprint))
         try:
             text = path.read_text()
         except FileNotFoundError:
@@ -186,7 +191,7 @@ class CampaignCache:
             payload = json.loads(text)
             if (
                 payload.get("schema") != CACHE_SCHEMA
-                or payload.get("fingerprint") != config_fingerprint(config)
+                or payload.get("fingerprint") != fingerprint
             ):
                 # Well-formed but not ours (schema bump, hash collision,
                 # hand-edited): a plain miss, not corruption.
@@ -243,10 +248,9 @@ class CampaignCache:
         of the entry with the decoded text as its last field, so the
         sample set is escaped once, by whoever made the literal.
         """
-        path = self._path(cache_key(config))
-        head = json.dumps(
-            {"schema": CACHE_SCHEMA, "fingerprint": config_fingerprint(config)}
-        )
+        fingerprint = config_fingerprint(config)
+        path = self._path(_fingerprint_key(fingerprint))
+        head = json.dumps({"schema": CACHE_SCHEMA, "fingerprint": fingerprint})
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:

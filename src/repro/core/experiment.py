@@ -14,9 +14,8 @@ from typing import Dict, Optional, Tuple
 from repro.core.samples import SampleSet
 from repro.drivers.latency import LatencyToolConfig, WdmLatencyTool
 from repro.hw.machine import Machine
-from repro.kernel.boot import boot_os
+from repro.kernel.boot import BootedOs, boot_os
 from repro.kernel.intrusions import AppliedLoad, LoadProfile, apply_load_profile
-from repro.kernel.nt4 import BootedOs
 from repro.workloads.base import get_workload
 
 
@@ -25,7 +24,7 @@ class ExperimentConfig:
     """One cell of the experiment matrix.
 
     Attributes:
-        os_name: "nt4" or "win98".
+        os_name: "nt4", "win98" or "win2k".
         workload: Registered workload name ("office", "workstation",
             "games", "web", "idle").
         duration_s: Simulated collection time.  The paper collects 4-12.5

@@ -11,18 +11,22 @@ Section 2.1 of the paper defines the metrics (see Figures 1-3):
 * **thread interrupt latency** -- hardware interrupt to the thread.
 
 Each measurement cycle of the tool yields one :class:`RawSample` carrying
-the TSC timestamps taken at the points Figure 3 marks.  The measured
-quantities follow the paper's arithmetic: the hardware interrupt timestamp
-is *estimated* as (read-time TSC + programmed delay), giving the +/- one
-PIT period resolution the paper accepts; the simulator additionally records
-the ground-truth assertion time so the estimation error itself can be
+the TSC timestamps taken at the points Figure 3 marks.  Every kind is the
+difference of two of them, written once in the span table ``_SPANS``:
+DPC is ``t_isr`` to ``t_dpc``, THREAD is ``t_dpc`` to ``t_thread``, and
+ISR, DPC_INTERRUPT and THREAD_INTERRUPT run from the hardware-interrupt
+origin to ``t_isr``, ``t_dpc`` and ``t_thread``.  The origin follows the
+paper's arithmetic: the hardware interrupt timestamp is *estimated* as
+(read-time TSC + programmed delay), giving the +/- one PIT period
+resolution the paper accepts; the simulator additionally records the
+ground-truth assertion time so the estimation error itself can be
 studied.
 
 Storage is columnar: a :class:`SampleSet` holds one ``array('q')`` per
 timestamp field (:class:`SampleColumns`) rather than a Python object per
 cycle, so long collection runs cost eight machine words per sample instead
-of a dataclass plus boxed ints.  The per-kind latency series are computed
-straight off the columns, and one sorted copy per ``(kind, priority,
+of a dataclass plus boxed ints.  A latency series is one pass over the
+columns of its span, and one sorted copy per ``(kind, priority,
 origin)`` is cached for every order-statistics consumer
 (:class:`~repro.core.stats.DistributionSummary`, ``percentile``,
 ``exceedance_fraction``, the worst-case estimator).  Per-row
@@ -67,6 +71,20 @@ _KIND_DESCRIPTIONS = {
     LatencyKind.DPC_INTERRUPT: "H/W interrupt assertion to first DPC instruction",
     LatencyKind.THREAD: "DPC signal to first thread instruction after wait",
     LatencyKind.THREAD_INTERRUPT: "H/W interrupt assertion to thread execution",
+}
+
+#: Each kind as the span between two Figure 3 stamps: (start, end) field
+#: names, with ``None`` for the hardware-interrupt origin
+#: (:meth:`RawSample.origin`).  ISR's ``"auto"`` origin is therefore the
+#: truth: ISR latency exists only on rows with a ``t_isr`` stamp (the
+#: private PIT handler, whose phase arithmetic references the true tick
+#: time), and those are the rows where ``"auto"`` means ``"truth"``.
+_SPANS: Dict[LatencyKind, Tuple[Optional[str], str]] = {
+    LatencyKind.ISR: (None, "t_isr"),
+    LatencyKind.DPC: ("t_isr", "t_dpc"),
+    LatencyKind.DPC_INTERRUPT: (None, "t_dpc"),
+    LatencyKind.THREAD: ("t_dpc", "t_thread"),
+    LatencyKind.THREAD_INTERRUPT: (None, "t_thread"),
 }
 
 
@@ -127,34 +145,18 @@ class RawSample:
         """The latency of ``kind`` in cycles, or ``None`` if unmeasurable.
 
         Args:
-            origin: Hardware-interrupt reference mode (see :meth:`origin`).
+            origin: Hardware-interrupt reference mode (see :meth:`origin`);
+                read only by the kinds that start at the interrupt.
         """
-        if kind is LatencyKind.ISR:
-            # Only measurable with the private PIT handler installed, whose
-            # phase arithmetic references the true tick time.
-            start = self.origin("truth") if origin == "auto" else self.origin(origin)
-            if self.t_isr is None or start is None:
-                return None
-            return self.t_isr - start
-        if kind is LatencyKind.DPC:
-            if self.t_isr is None or self.t_dpc is None:
-                return None
-            return self.t_dpc - self.t_isr
-        if kind is LatencyKind.DPC_INTERRUPT:
+        start_stamp, end_stamp = _SPANS[kind]
+        if start_stamp is None:
             start = self.origin(origin)
-            if self.t_dpc is None or start is None:
-                return None
-            return self.t_dpc - start
-        if kind is LatencyKind.THREAD:
-            if self.t_dpc is None or self.t_thread is None:
-                return None
-            return self.t_thread - self.t_dpc
-        if kind is LatencyKind.THREAD_INTERRUPT:
-            start = self.origin(origin)
-            if self.t_thread is None or start is None:
-                return None
-            return self.t_thread - start
-        raise ValueError(f"unknown kind {kind!r}")
+        else:
+            start = getattr(self, start_stamp)
+        end = getattr(self, end_stamp)
+        if start is None or end is None:
+            return None
+        return end - start
 
     @property
     def complete(self) -> bool:
@@ -362,107 +364,35 @@ class SampleSet:
     ) -> List[int]:
         """Columnar evaluation of :meth:`RawSample.latency_cycles` per row.
 
-        Mirrors the per-sample arithmetic exactly (same skips for missing
-        timestamps, same origin-mode selection); kept branch-light by
-        specialising the loop per kind/origin.
+        One pass over the kind's span (same skips for missing stamps, same
+        origin-mode selection as the per-row arithmetic).
         """
         if origin not in _ORIGIN_MODES:
             raise ValueError(f"unknown origin mode {origin!r}")
         columns = self.columns
-        pri = columns.priority
-        t_read = columns.t_read
-        delay = columns.delay_cycles
-        t_assert = columns.t_assert
-        t_isr = columns.t_isr
-        t_dpc = columns.t_dpc
-        t_thread = columns.t_thread
-        n = len(pri)
-        out: List[int] = []
-        append = out.append
-
-        if kind is LatencyKind.ISR:
-            # auto references ground truth (the hooked handler knows the
-            # tick phase), matching RawSample.latency_cycles.
-            if origin == "estimate":
-                for i in range(n):
-                    if priority is not None and pri[i] != priority:
-                        continue
-                    isr = t_isr[i]
-                    if isr == _NONE:
-                        continue
-                    append(isr - (t_read[i] + delay[i]))
-            else:
-                for i in range(n):
-                    if priority is not None and pri[i] != priority:
-                        continue
-                    isr = t_isr[i]
-                    start = t_assert[i]
-                    if isr == _NONE or start == _NONE:
-                        continue
-                    append(isr - start)
-            return out
-
-        if kind is LatencyKind.DPC:
-            for i in range(n):
-                if priority is not None and pri[i] != priority:
-                    continue
-                isr = t_isr[i]
-                dpc = t_dpc[i]
-                if isr == _NONE or dpc == _NONE:
-                    continue
-                append(dpc - isr)
-            return out
-
-        if kind is LatencyKind.THREAD:
-            for i in range(n):
-                if priority is not None and pri[i] != priority:
-                    continue
-                dpc = t_dpc[i]
-                thread = t_thread[i]
-                if dpc == _NONE or thread == _NONE:
-                    continue
-                append(thread - dpc)
-            return out
-
-        if kind is LatencyKind.DPC_INTERRUPT:
-            end_col = t_dpc
-        elif kind is LatencyKind.THREAD_INTERRUPT:
-            end_col = t_thread
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
-
-        if origin == "estimate":
-            for i in range(n):
-                if priority is not None and pri[i] != priority:
-                    continue
-                end = end_col[i]
-                if end == _NONE:
-                    continue
-                append(end - (t_read[i] + delay[i]))
+        start_stamp, end_stamp = _SPANS[kind]
+        end = getattr(columns, end_stamp)
+        if start_stamp is not None:
+            start = getattr(columns, start_stamp)
         elif origin == "truth":
-            for i in range(n):
-                if priority is not None and pri[i] != priority:
-                    continue
-                end = end_col[i]
-                start = t_assert[i]
-                if end == _NONE or start == _NONE:
-                    continue
-                append(end - start)
-        else:  # auto
-            for i in range(n):
-                if priority is not None and pri[i] != priority:
-                    continue
-                end = end_col[i]
-                if end == _NONE:
-                    continue
-                if t_isr[i] != _NONE:
-                    start = t_assert[i]
-                    if start == _NONE:
-                        continue
-                    append(end - start)
-                else:
-                    append(end - (t_read[i] + delay[i]))
-        return out
+            start = columns.t_assert
+        elif origin == "estimate":
+            # Stamps are non-negative, so the estimate is never the sentinel.
+            start = [r + d for r, d in zip(columns.t_read, columns.delay_cycles)]
+        else:  # auto: the truth on rows the hooked PIT handler stamped
+            start = [
+                a if i != _NONE else r + d
+                for r, d, a, i in zip(
+                    columns.t_read, columns.delay_cycles, columns.t_assert, columns.t_isr
+                )
+            ]
+        if priority is None:
+            return [e - s for s, e in zip(start, end) if s != _NONE and e != _NONE]
+        return [
+            e - s
+            for p, s, e in zip(columns.priority, start, end)
+            if p == priority and s != _NONE and e != _NONE
+        ]
 
     def sorted_latencies_ms(
         self,

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.samples import RawSample, SampleColumns, SampleSet
+from repro.kernel.boot import BootedOs
 from repro.kernel.dpc import Dpc, DpcImportance
 from repro.kernel.kernel import Kernel
-from repro.kernel.nt4 import BootedOs
 from repro.kernel.objects import KEvent, KTimer
 from repro.kernel.requests import Run, Segment, Segments, Wait, segments_body
 from repro.wdm.driver import DeviceObject, DriverObject, IoManager

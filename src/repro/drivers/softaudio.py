@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.analysis.tolerance import latency_tolerance_ms
+from repro.kernel.boot import BootedOs
 from repro.kernel.dpc import Dpc, DpcImportance
 from repro.kernel.kernel import Kernel
-from repro.kernel.nt4 import BootedOs
 from repro.kernel.objects import KEvent
 from repro.kernel.requests import Run, Wait
 

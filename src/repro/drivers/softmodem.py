@@ -27,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.kernel.boot import BootedOs
 from repro.kernel.dpc import Dpc, DpcImportance
 from repro.kernel.kernel import Kernel
-from repro.kernel.nt4 import BootedOs
 from repro.kernel.objects import KEvent
 from repro.kernel.requests import Run, Wait
 

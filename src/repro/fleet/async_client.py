@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.experiment import ExperimentConfig
 from repro.core.export import sample_set_from_json
-from repro.service.client import ServiceError, ServiceUnavailable
+from repro.service.client import ServiceError, ServiceUnavailable, checked
 from repro.service.protocol import (
     MAX_LINE_BYTES,
     config_to_wire,
@@ -126,22 +126,11 @@ class AsyncServiceClient:
         except (OSError, asyncio.CancelledError):
             pass
 
-    @staticmethod
-    def _checked(response: Dict[str, Any]) -> Dict[str, Any]:
-        if not response.get("ok", False):
-            error = response.get("error") or {}
-            raise ServiceError(
-                error.get("code", "unknown"),
-                error.get("message", ""),
-                retry_after_s=error.get("retry_after_s"),
-            )
-        return response
-
     async def request(self, verb: str, **fields) -> Dict[str, Any]:
         """One checked round trip with no retry policy (building block)."""
         self._req_ids += 1
         payload = request(verb, req_id=f"a{self._req_ids}", **fields)
-        return self._checked(await self._roundtrip(payload))
+        return checked(await self._roundtrip(payload))
 
     async def _request_with_retry(self, verb: str, **fields) -> Dict[str, Any]:
         """Bounded retry honoring ``retry_after_s`` hints.

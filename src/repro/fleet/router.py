@@ -26,10 +26,12 @@ related work says must stay separate from measurement:
 * **Tiered admission.**  Per-client token buckets and priority lanes
   (:mod:`repro.fleet.admission`); shed requests get an explicit
   ``overloaded`` + ``retry_after_s``, never an unbounded queue.
-* **Shared result store.**  With ``cache_dir`` pointed at the same
-  directory the workers use (atomic-rename writes make it multi-writer
-  safe), the router serves any cell any worker ever computed -- including
-  a dead worker's -- without forwarding at all.
+* **Shared result store, read-only here.**  With ``cache_dir`` pointed
+  at the directory the workers persist to, the router serves any cell
+  any worker ever computed -- including a dead worker's -- without
+  forwarding at all.  The router only reads that directory: a relayed
+  result warms its hot LRU, and the worker that computed it is the one
+  writer of its cache file.
 
 Hard invariant, inherited from every layer below: a result served
 through the router is byte-identical to a serial ``run_campaign`` of the
@@ -47,7 +49,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.core.campaign import cache_key
+from repro.core.campaign import cache_key, json_literal
 from repro.service.endpoint import NdjsonServer
 from repro.service.loop_thread import LoopThread
 from repro.service.metrics import ROUTER_COUNTERS, ROUTER_STAGES, ServiceMetrics
@@ -83,9 +85,10 @@ class RouterConfig:
 
     Attributes:
         host / port: Bind address (``0`` picks an ephemeral port).
-        cache_dir: The *shared* result store -- point it at the same
+        cache_dir: The workers' *shared* result store -- point it at the
             directory the workers persist to and the router serves
-            already-computed cells without forwarding.
+            already-computed cells without forwarding.  The router reads
+            it and never writes it.
         hot_capacity: Router-local LRU of serialized cells.
         heartbeat_interval_s: Cadence of the health probes.
         heartbeat_timeout_s: How long one probe waits for the worker's
@@ -375,10 +378,11 @@ class FleetRouter(NdjsonServer):
         literal = None
         if done:
             if isinstance(response.get("sample_set"), str):
-                # Warm the router's hot LRU (and the shared store, when
-                # the worker wrote to a different directory), and relay
-                # the literal it keeps: the field is the worker's last.
-                literal = self.store.put(config, response.pop("sample_set"), key=key)
+                # Warm the router's hot LRU and relay the literal it
+                # keeps (the field is the worker's last).  The worker
+                # has already written the shared store.
+                literal = json_literal(response.pop("sample_set"))
+                self.store.remember(key, literal)
             self.metrics.observe("serve", time.monotonic() - t0)
         if await self._send(writer, response, literal) and done:
             self.metrics.count("served")

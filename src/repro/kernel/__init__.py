@@ -9,12 +9,13 @@ This package implements the execution model the paper measures (section 4.1's
 3. Real-time priority threads (Win32 priorities 16-31);
 4. Normal priority threads (Win32 priorities 1-15), timesliced.
 
-Each level is fully preemptible by the levels above it.  Two OS
-*personalities* -- :func:`repro.kernel.nt4.build_nt4_kernel` and
-:func:`repro.kernel.win98.build_win98_kernel` -- share this machinery but
-differ in the legacy behaviour they layer on top (Windows 98 keeps its
-Windows 95-era VMM, whose long non-preemptible sections produce the latency
-tails the paper observes).
+Each level is fully preemptible by the levels above it.  The OS
+*personalities* (:mod:`repro.kernel.nt4`, :mod:`repro.kernel.win98` and the
+section 6.1 :mod:`repro.kernel.win2k` beta) share this machinery and one
+boot path, :func:`repro.kernel.boot.boot_os`, but differ in the costs and
+legacy behaviour they layer on top (Windows 98 keeps its Windows 95-era
+VMM, whose long non-preemptible sections produce the latency tails the
+paper observes).
 
 Schedulable code is written as Python generators that yield
 :class:`repro.kernel.requests.Run` / :class:`repro.kernel.requests.Wait`

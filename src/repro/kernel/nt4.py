@@ -16,20 +16,8 @@ NT-specific structures the paper leans on are both here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
-from repro.hw.machine import Machine
-from repro.kernel.intrusions import (
-    IntrusionKind,
-    IntrusionSpec,
-    LoadProfile,
-    SectionExecutor,
-    apply_load_profile,
-)
-from repro.kernel.kernel import Kernel
+from repro.kernel.intrusions import IntrusionKind, IntrusionSpec, LoadProfile
 from repro.kernel.profile import OsProfile
-from repro.kernel.workitems import WorkItemQueue
 from repro.sim.rng import DurationDistribution
 
 NT4_PROFILE = OsProfile(
@@ -76,42 +64,3 @@ NT4_BASELINE_LOAD = LoadProfile(
         ),
     ),
 )
-
-
-@dataclass
-class BootedOs:
-    """A booted kernel plus its personality-level services."""
-
-    name: str
-    kernel: Kernel
-    section_executor: SectionExecutor
-    work_items: Optional[WorkItemQueue] = None
-
-    @property
-    def machine(self) -> Machine:
-        return self.kernel.machine
-
-
-def build_nt4_kernel(machine: Machine, baseline_load: bool = True) -> BootedOs:
-    """Boot Windows NT 4.0 on ``machine``.
-
-    Args:
-        baseline_load: Install the idle-system background activity.  Tests
-            of pure mechanics turn this off for determinism.
-    """
-    kernel = Kernel(machine, NT4_PROFILE)
-    kernel.boot()
-    section_executor = SectionExecutor(kernel, name="KiKernelSections")
-    work_items = WorkItemQueue(kernel, priority=NT4_PROFILE.work_item_priority)
-    os = BootedOs(
-        name="nt4", kernel=kernel, section_executor=section_executor, work_items=work_items
-    )
-    if baseline_load:
-        apply_load_profile(
-            kernel,
-            NT4_BASELINE_LOAD,
-            machine.rng.child("nt4-baseline"),
-            section_executor=section_executor,
-            work_item_queue=work_items,
-        )
-    return os

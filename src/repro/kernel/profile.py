@@ -21,7 +21,7 @@ class OsProfile:
     machine clock at boot.  Defaults are NT-ish; the personalities override.
 
     Attributes:
-        name: "nt4" or "win98".
+        name: "nt4", "win98" or "win2k".
         description: Table 2-style configuration string.
         filesystem: Documentation only (NTFS vs FAT32).
         quantum_ms: Scheduler timeslice for round-robin at equal priority.
@@ -33,11 +33,12 @@ class OsProfile:
         clock_isr_us: Body of the OS clock (PIT) ISR.
         dpc_dispatch_us: Per-DPC dequeue/dispatch overhead.
         timer_expiry_us: Clock-ISR cost per expired timer processed.
-        work_item_thread: Whether a kernel work-item queue exists, serviced
-            by a dedicated thread (NT).  The paper: "The WDM 'kernel work
-            item' queue is serviced by a real-time default priority thread,
-            which accounts for the large difference between high and default
-            priority threads under NT 4.0."
+        work_item_thread: Whether :func:`~repro.kernel.boot.boot_os` builds
+            a kernel work-item queue, serviced by a dedicated thread (NT).
+            The paper: "The WDM 'kernel work item' queue is serviced by a
+            real-time default priority thread, which accounts for the large
+            difference between high and default priority threads under NT
+            4.0."
         work_item_priority: Priority of that servicing thread (RT default,
             24).
         wait_boost: Dynamic priority boost granted to a *normal-class*

@@ -20,18 +20,8 @@ methodology can be exercised on a third OS, as the authors did.
 
 from __future__ import annotations
 
-from repro.hw.machine import Machine
-from repro.kernel.intrusions import (
-    IntrusionKind,
-    IntrusionSpec,
-    LoadProfile,
-    SectionExecutor,
-    apply_load_profile,
-)
-from repro.kernel.kernel import Kernel
-from repro.kernel.nt4 import BootedOs
+from repro.kernel.intrusions import IntrusionKind, IntrusionSpec, LoadProfile
 from repro.kernel.profile import OsProfile
-from repro.kernel.workitems import WorkItemQueue
 from repro.sim.rng import DurationDistribution
 
 WIN2K_PROFILE = OsProfile(
@@ -75,23 +65,3 @@ WIN2K_BASELINE_LOAD = LoadProfile(
         ),
     ),
 )
-
-
-def build_win2k_kernel(machine: Machine, baseline_load: bool = True) -> BootedOs:
-    """Boot the Windows 2000 beta on ``machine``."""
-    kernel = Kernel(machine, WIN2K_PROFILE)
-    kernel.boot()
-    section_executor = SectionExecutor(kernel, name="KiKernelSections")
-    work_items = WorkItemQueue(kernel, priority=WIN2K_PROFILE.work_item_priority)
-    os = BootedOs(
-        name="win2k", kernel=kernel, section_executor=section_executor, work_items=work_items
-    )
-    if baseline_load:
-        apply_load_profile(
-            kernel,
-            WIN2K_BASELINE_LOAD,
-            machine.rng.child("win2k-baseline"),
-            section_executor=section_executor,
-            work_item_queue=work_items,
-        )
-    return os

@@ -21,16 +21,7 @@ profiles in :mod:`repro.workloads` supply the heavy tails.
 
 from __future__ import annotations
 
-from repro.hw.machine import Machine
-from repro.kernel.intrusions import (
-    IntrusionKind,
-    IntrusionSpec,
-    LoadProfile,
-    SectionExecutor,
-    apply_load_profile,
-)
-from repro.kernel.kernel import Kernel
-from repro.kernel.nt4 import BootedOs
+from repro.kernel.intrusions import IntrusionKind, IntrusionSpec, LoadProfile
 from repro.kernel.profile import OsProfile
 from repro.sim.rng import DurationDistribution
 
@@ -89,25 +80,3 @@ WIN98_BASELINE_LOAD = LoadProfile(
         ),
     ),
 )
-
-
-def build_win98_kernel(machine: Machine, baseline_load: bool = True) -> BootedOs:
-    """Boot Windows 98 on ``machine``.
-
-    Args:
-        baseline_load: Install the idle-system legacy VMM activity.
-    """
-    kernel = Kernel(machine, WIN98_PROFILE)
-    kernel.boot()
-    section_executor = SectionExecutor(kernel, name="VMM_Sections")
-    os = BootedOs(
-        name="win98", kernel=kernel, section_executor=section_executor, work_items=None
-    )
-    if baseline_load:
-        apply_load_profile(
-            kernel,
-            WIN98_BASELINE_LOAD,
-            machine.rng.child("win98-baseline"),
-            section_executor=section_executor,
-        )
-    return os

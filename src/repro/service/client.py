@@ -58,6 +58,19 @@ class ServiceUnavailable(ServiceError):
         self.undelivered: List[str] = list(undelivered or [])
 
 
+def checked(response: Dict[str, Any]) -> Dict[str, Any]:
+    """``response`` as is, or its ``{"ok": false}`` error raised as a
+    :class:`ServiceError`."""
+    if not response.get("ok", False):
+        error = response.get("error") or {}
+        raise ServiceError(
+            error.get("code", "unknown"),
+            error.get("message", ""),
+            retry_after_s=error.get("retry_after_s"),
+        )
+    return response
+
+
 class ServiceClient:
     """One connection to a running :class:`~repro.service.server.ExperimentService`.
 
@@ -102,20 +115,9 @@ class ServiceClient:
             raise ServiceUnavailable("server closed the connection mid-message")
         return json.loads(line)
 
-    @staticmethod
-    def _checked(response: Dict[str, Any]) -> Dict[str, Any]:
-        if not response.get("ok", False):
-            error = response.get("error") or {}
-            raise ServiceError(
-                error.get("code", "unknown"),
-                error.get("message", ""),
-                retry_after_s=error.get("retry_after_s"),
-            )
-        return response
-
     def _request(self, verb: str, **fields) -> Dict[str, Any]:
         self._write(request(verb, req_id=f"r{next(self._req_ids)}", **fields))
-        return self._checked(self._read_message())
+        return checked(self._read_message())
 
     # ------------------------------------------------------------------
     # Verbs
@@ -173,7 +175,7 @@ class ServiceClient:
             message = self._read_message()
             event = message.get("event")
             if event is None:
-                self._checked(message)  # final response; raises on failure
+                checked(message)  # final response; raises on failure
                 return
             yield event["state"]
 

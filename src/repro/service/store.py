@@ -7,7 +7,8 @@ the wire.  On top sits a small in-process LRU of serialized cells, so a
 popular config is served from memory without touching disk or JSON.
 
 A result is escaped exactly once, when it enters the store (a
-:meth:`~ResultStore.put`, or a disk hit): the LRU keeps its
+:meth:`~ResultStore.put`, a disk hit, or a router relay, which goes to
+the LRU only through :meth:`~ResultStore.remember`): the LRU keeps its
 :func:`~repro.core.campaign.json_literal`, one object per entry and in
 place of the text, and every cache file and reply that carries the
 result splices that literal in (:meth:`CampaignCache.put_literal
@@ -68,7 +69,7 @@ class ResultStore:
             if serialized is not None:
                 self.disk_hits += 1
                 literal = json_literal(serialized)
-                self._remember(key, literal)
+                self.remember(key, literal)
                 return literal
         self.misses += 1
         return None
@@ -88,10 +89,11 @@ class ResultStore:
         literal = json_literal(serialized)
         if self.cache is not None:
             self.cache.put_literal(config, literal)
-        self._remember(key, literal)
+        self.remember(key, literal)
         return literal
 
-    def _remember(self, key: str, literal: bytes) -> None:
+    def remember(self, key: str, literal: bytes) -> None:
+        """Keep ``literal`` in the hot LRU only; the disk tier is untouched."""
         if self.hot_capacity == 0:
             return
         self._hot[key] = literal

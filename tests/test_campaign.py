@@ -14,12 +14,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import campaign
 from repro.core.campaign import (
     CACHE_SCHEMA,
     CampaignCache,
     _jsonable,
     cache_key,
     config_fingerprint,
+    json_literal,
     run_campaign,
     run_sample_matrix,
 )
@@ -30,6 +32,7 @@ from repro.core.worst_case import WorstCaseTable
 from repro.drivers.latency import LatencyToolConfig
 from repro.kernel.dpc import DpcImportance
 from repro.scenarios import load_scenario
+from repro.service.store import ResultStore
 from repro.workloads.perturbations import VIRUS_SCANNER
 
 #: Short cells keep the full module under a few seconds.
@@ -257,6 +260,29 @@ class TestCache:
         assert len(cache) == 0
         run_campaign(_configs(2), cache_dir=tmp_path)
         assert len(cache) == 2
+
+    def test_each_cache_call_reduces_the_config_once(self, tmp_path, monkeypatch):
+        """The path and the stored fingerprint come from one reduction."""
+        config = _configs(2)[0]
+        reductions = []
+
+        def counted(value):
+            if type(value) is ExperimentConfig:
+                reductions.append(value)
+            return _jsonable(value)
+
+        monkeypatch.setattr(campaign, "_jsonable", counted)
+        cache = CampaignCache(tmp_path)
+        cache.put_serialized(config, "text")
+        assert len(reductions) == 1
+        assert cache.get_serialized(config) == "text"  # a disk hit
+        assert len(reductions) == 2
+        store = ResultStore(tmp_path)
+        key = cache_key(config)
+        reductions.clear()
+        assert store.get_literal(config, key=key) == json_literal("text")
+        store.put(config, "text", key=key)
+        assert len(reductions) == 2
 
 
 def _jsonable_reference(value):

@@ -39,7 +39,7 @@ from collections import Counter
 import pytest
 
 from repro.__main__ import main
-from repro.core.campaign import cache_key, run_campaign
+from repro.core.campaign import CampaignCache, cache_key, run_campaign
 from repro.core.experiment import ExperimentConfig
 from repro.core.export import sample_set_to_json
 from repro.fleet import (
@@ -413,6 +413,32 @@ class TestRouterDeterminism:
         assert first == second == _serial_bytes(config)
         # One forward total: the repeat was served from the shared store.
         assert sum(forwards) == 1
+
+    def test_router_reads_the_shared_store_and_never_writes_it(
+            self, tmp_path, monkeypatch):
+        config = _config()
+        writes = []
+        put_literal = CampaignCache.put_literal
+
+        def counted(cache, *args, **kwargs):
+            writes.append(cache.root)
+            return put_literal(cache, *args, **kwargs)
+
+        monkeypatch.setattr(CampaignCache, "put_literal", counted)
+        router, workers = _fleet(tmp_path, workers=1, cache_dir=tmp_path)
+        try:
+            with ServiceClient(port=router.port) as client:
+                routed = client.submit(config, as_text=True)
+        finally:
+            workers[0].stop()
+            router.stop()
+        assert writes == [tmp_path]  # the worker's, and only the worker's
+        with RouterThread(cache_dir=tmp_path) as fresh:
+            with ServiceClient(port=fresh.port) as client:
+                assert client.submit(config, as_text=True) == routed
+                stats = client.stats()
+        assert stats["gauges"]["store"]["disk_hits"] == 1
+        assert stats["counters"]["forwarded"] == 0
 
     def test_stream_results_through_router_matches_serial(self, tmp_path):
         configs = [

@@ -1,12 +1,15 @@
 """OS personalities: boot, profiles, work items, background noise."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.hw.machine import Machine, MachineConfig
+from repro.kernel import boot
 from repro.kernel.boot import OS_NAMES, boot_os
-from repro.kernel.nt4 import NT4_PROFILE, build_nt4_kernel
+from repro.kernel.nt4 import NT4_PROFILE
 from repro.kernel.requests import Run, Wait
-from repro.kernel.win98 import WIN98_PROFILE, build_win98_kernel
+from repro.kernel.win98 import WIN98_PROFILE
 from repro.kernel.workitems import WorkItemQueue
 
 
@@ -46,23 +49,34 @@ class TestProfiles:
 
 class TestBootedStructure:
     def test_nt4_has_work_item_queue(self):
-        os = build_nt4_kernel(Machine(), baseline_load=False)
+        os = boot_os(Machine(), "nt4", baseline_load=False)
         assert isinstance(os.work_items, WorkItemQueue)
         assert os.work_items.thread.priority == 24
         assert os.work_items.thread.system
 
     def test_win98_has_no_work_item_queue(self):
-        os = build_win98_kernel(Machine(), baseline_load=False)
+        os = boot_os(Machine(), "win98", baseline_load=False)
         assert os.work_items is None
 
     def test_both_have_section_executor_at_31(self):
-        for builder in (build_nt4_kernel, build_win98_kernel):
-            os = builder(Machine(), baseline_load=False)
+        for os_name in ("nt4", "win98"):
+            os = boot_os(Machine(), os_name, baseline_load=False)
             assert os.section_executor.thread.priority == 31
+
+    def test_profile_work_item_thread_decides_the_queue(self, monkeypatch):
+        for os_name in OS_NAMES:
+            os = boot_os(Machine(), os_name, baseline_load=False)
+            assert (os.work_items is not None) is os.kernel.profile.work_item_thread
+        profile, baseline, executor = boot._PERSONALITIES["nt4"]
+        monkeypatch.setitem(
+            boot._PERSONALITIES, "nt4",
+            (replace(profile, work_item_thread=False), baseline, executor),
+        )
+        assert boot_os(Machine(), "nt4", baseline_load=False).work_items is None
 
     def test_baseline_load_produces_background_activity(self):
         machine = Machine(MachineConfig(), seed=5)
-        os = build_win98_kernel(machine, baseline_load=True)
+        os = boot_os(machine, "win98", baseline_load=True)
         machine.run_for_ms(3000)
         # VMM cli/sections and NTKERN DPCs fire even when "idle".
         assert os.section_executor.bursts_run > 50
@@ -72,7 +86,7 @@ class TestBootedStructure:
 class TestWorkItemQueue:
     def test_items_run_in_order_on_worker_thread(self):
         machine = Machine(MachineConfig(), seed=2)
-        os = build_nt4_kernel(machine, baseline_load=False)
+        os = boot_os(machine, "nt4", baseline_load=False)
         queue = os.work_items
         queue.queue_item(1.0, label=("NTKERN", "_one"))
         queue.queue_item(2.0, label=("NTKERN", "_two"))
@@ -84,7 +98,7 @@ class TestWorkItemQueue:
     def test_work_item_blocks_equal_priority_thread(self):
         """The paper's NT priority-24 effect in miniature."""
         machine = Machine(MachineConfig(), seed=2)
-        os = build_nt4_kernel(machine, baseline_load=False)
+        os = boot_os(machine, "nt4", baseline_load=False)
         kernel = os.kernel
         from repro.kernel.objects import KEvent
 
@@ -109,7 +123,7 @@ class TestWorkItemQueue:
 
     def test_work_item_never_delays_priority_28(self):
         machine = Machine(MachineConfig(), seed=2)
-        os = build_nt4_kernel(machine, baseline_load=False)
+        os = boot_os(machine, "nt4", baseline_load=False)
         kernel = os.kernel
         from repro.kernel.objects import KEvent
 
